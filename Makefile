@@ -30,7 +30,7 @@ test:
 # repeated forwarder run stresses the UDP data plane's receive/transmit/
 # close interleavings — TestForwarderSharded* cover shard counts 1, 2 and
 # 8, so conservation under mid-flight close, the SPSC rings, and the
-# deadline merge all run under the race detector at every shard count.
+# stamp merge all run under the race detector at every shard count.
 race:
 	$(GO) test -race -run TestForEachRaceStress -count=5 ./internal/experiments/
 	$(GO) test -race -run 'TestForwarder|TestIngress|TestRing' -count=3 ./internal/netio/
@@ -52,11 +52,11 @@ bench-save:
 bench-cmp:
 	$(GO) test -bench=. -benchmem -benchtime=$(BENCHTIME) ./... | $(GO) run ./cmd/pdbench -baseline BENCH_baseline.json
 
-# Forwarder data-plane throughput baseline (ingress batch processing,
-# SPSC ring transfer, end-to-end sharded loopback packets/sec). Kept as
-# its own artifact so the forwarder's throughput trajectory is recorded
-# per change without whole-tree benchmark noise.
-FWD_BENCH = BenchmarkIngressProcessBatch|BenchmarkForwarderThroughput|BenchmarkRingTransfer
+# Forwarder data-plane layer baseline (ingress batch processing, SPSC ring
+# transfer). Kept as its own artifact so the layers' trajectory is
+# recorded per change without whole-tree benchmark noise; the end-to-end
+# packets/sec is `go run ./bench` (fwd_min64, fwd_shard2_flows).
+FWD_BENCH = BenchmarkIngressProcessBatch|BenchmarkRingTransfer
 
 bench-fwd-save:
 	$(GO) test -bench '$(FWD_BENCH)' -benchmem -benchtime=$(BENCHTIME) ./internal/netio/ | $(GO) run ./cmd/pdbench -save BENCH_forwarder.json
@@ -132,9 +132,9 @@ soak:
 	$(GO) run ./cmd/pdload -duration 2s -rate 4e6
 
 # Sharded soak: same acceptance gates (rate accuracy, conservation) with
-# the ingress split across 4 SO_REUSEPORT shards and deadline-merged at
-# egress; the reported packets/sec is the scaling headline on multi-core
-# hosts.
+# the ingress split across 4 SO_REUSEPORT shards and merged by arrival
+# stamp into the one scheduler; the reported packets/sec is the scaling
+# headline on multi-core hosts.
 soak-sharded:
 	$(GO) run ./cmd/pdload -duration 2s -rate 4e6 -shards 4
 

@@ -23,21 +23,7 @@ type Forwarder struct {
 // datagram is accounted exactly once:
 // Received = Forwarded + Dropped + BadHeader + BadClass + Queued at any
 // snapshot, with Queued reaching 0 after Close.
-type ForwarderStats struct {
-	Received  uint64
-	Forwarded uint64
-	// Dropped counts queue-full drops, egress write failures that
-	// exhausted their retries, and datagrams discarded at Close.
-	Dropped   uint64
-	BadHeader uint64
-	// BadClass counts structurally valid datagrams whose class could not
-	// be resolved: an out-of-range or ClassUnspecified class byte with no
-	// class config loaded, or traffic matching no filter when the config
-	// declares no default class.
-	BadClass uint64
-	// Queued is the instantaneous scheduler backlog at snapshot time.
-	Queued uint64
-}
+type ForwarderStats = netio.Stats
 
 // ForwarderConfig configures StartForwarderWithConfig.
 type ForwarderConfig struct {
@@ -52,23 +38,20 @@ type ForwarderConfig struct {
 	RateBps float64
 	// MaxPackets bounds the aggregate queue (0 = 4096).
 	MaxPackets int
-	// Shards is the number of parallel ingress paths (0 or 1 = the classic
-	// single-socket forwarder). With N > 1 the forwarder binds N sockets to
-	// the same ingress address under SO_REUSEPORT, so the kernel's flow
-	// hash gives every flow a stable shard; each shard classifies and
-	// admits independently and the single transmitter serves the globally
-	// highest-priority head across shards (deadline merge). Where
-	// SO_REUSEPORT is unavailable the shards share one socket, which
-	// ShardStats reports.
+	// Shards is the number of parallel ingress paths (0 or 1 = a single
+	// socket). With N > 1 the forwarder binds N sockets to the same ingress
+	// address under SO_REUSEPORT, so the kernel's flow hash gives every
+	// flow a stable shard; each shard classifies and admits independently
+	// and the single transmitter merges their output by arrival stamp into
+	// the one scheduler, so every discipline serves the same order at
+	// every shard count. Where SO_REUSEPORT is unavailable the shards
+	// share one socket, which ShardStats reports.
 	Shards int
 	// DrainTimeout bounds the graceful drain Close performs: queued
 	// datagrams keep transmitting — still paced at RateBps — for up to
 	// this long before the remainder is dropped and accounted. Zero
 	// drops the backlog immediately on Close.
 	DrainTimeout time.Duration
-	// DisablePooling turns off ingress buffer and packet reuse, forcing
-	// a fresh allocation per datagram (debugging aid).
-	DisablePooling bool
 	// MetricsAddr, if non-empty, serves live per-class metrics over
 	// HTTP on this address: /metrics (expvar-style JSON),
 	// /metrics?format=text (human view) and /debug/pprof/. Use
@@ -95,9 +78,9 @@ type ForwarderConfig struct {
 	// snapshots the forwarder's per-class delay telemetry every
 	// AdaptInterval and, when the measured adjacent-class delay ratios
 	// deviate from the SDP targets beyond a deadband, retunes the live
-	// scheduler parameters (every shard, atomically between egress
-	// batches). Requires a retunable scheduler (WTP, HPD, DRR, IWRR or
-	// PF); FCFS fails at start. While the measured ratios stay in band
+	// scheduler parameters (between egress batches, at every shard
+	// count). Requires a retunable scheduler (WTP, HPD, DRR, IWRR or PF);
+	// FCFS fails at start. While the measured ratios stay in band
 	// the controller never touches the scheduler, so an Adapt forwarder
 	// serving conforming traffic behaves byte-identically to a plain one.
 	Adapt bool
@@ -143,7 +126,6 @@ func StartForwarderWithConfig(cfg ForwarderConfig) (*Forwarder, error) {
 		MaxPackets:     cfg.MaxPackets,
 		Shards:         cfg.Shards,
 		DrainTimeout:   cfg.DrainTimeout,
-		DisablePooling: cfg.DisablePooling,
 		MetricsAddr:    cfg.MetricsAddr,
 		Telemetry:      reg,
 		DistrustHeader: cfg.DistrustHeader,
@@ -176,37 +158,14 @@ func StartForwarderWithConfig(cfg ForwarderConfig) (*Forwarder, error) {
 func (f *Forwarder) Addr() net.Addr { return f.inner.LocalAddr() }
 
 // Stats returns a snapshot of the counters.
-func (f *Forwarder) Stats() ForwarderStats {
-	s := f.inner.Stats()
-	return ForwarderStats(s)
-}
+func (f *Forwarder) Stats() ForwarderStats { return f.inner.Stats() }
 
 // ForwarderShardStats describes one ingress shard's receive path.
-type ForwarderShardStats struct {
-	// Received and Batches count datagrams and socket reads on this shard;
-	// their ratio is the achieved receive batch size.
-	Received uint64
-	Batches  uint64
-	// MaxBatch is the largest single-read batch observed.
-	MaxBatch int
-	// Mode is the active I/O path: "mmsg" (recvmmsg/sendmmsg) or
-	// "datagram" (portable per-datagram syscalls).
-	Mode string
-	// SharedSocket reports the SO_REUSEPORT fallback: all shards reading
-	// one socket, so flow→shard stability is lost.
-	SharedSocket bool
-}
+type ForwarderShardStats = netio.ShardStats
 
 // ShardStats returns per-shard ingress counters (one entry per configured
-// shard; a single entry for the classic single-socket forwarder).
-func (f *Forwarder) ShardStats() []ForwarderShardStats {
-	ss := f.inner.ShardStats()
-	out := make([]ForwarderShardStats, len(ss))
-	for i, s := range ss {
-		out[i] = ForwarderShardStats(s)
-	}
-	return out
-}
+// shard).
+func (f *Forwarder) ShardStats() []ForwarderShardStats { return f.inner.ShardStats() }
 
 // Close shuts the forwarder down.
 func (f *Forwarder) Close() error { return f.inner.Close() }
@@ -264,12 +223,11 @@ func (f *Forwarder) ClassStats() []LiveClassStats {
 }
 
 // Retune replaces the live scheduler parameter vector (the SDPs, or DRR
-// quanta / IWRR weights) on every shard without disturbing queued
-// traffic: the vector is validated here and installed by the transmit
-// goroutine between egress batches. Returns an error for malformed
-// vectors or a non-retunable scheduler (FCFS). Safe for concurrent use,
-// and composes with Adapt — the controller simply steers from the new
-// vector's measured ratios.
+// quanta / IWRR weights) without disturbing queued traffic: the vector is
+// validated here and installed by the transmit goroutine between egress
+// batches. Returns an error for malformed vectors or a non-retunable
+// scheduler (FCFS). Safe for concurrent use, and composes with Adapt — the
+// controller simply steers from the new vector's measured ratios.
 func (f *Forwarder) Retune(params []float64) error { return f.inner.Retune(params) }
 
 // ControlStats reports closed-loop adaptation activity: the controller's

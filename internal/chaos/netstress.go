@@ -35,7 +35,7 @@ type NetPlan struct {
 	Size     int
 	// Shards is the forwarder's parallel ingress shard count (0 or 1 =
 	// classic single-socket path). Sharded plans exercise the SPSC rings,
-	// the deadline merge, and mid-flight-close conservation under the
+	// the stamp merge, and mid-flight-close conservation under the
 	// same wire faults as their single-shard counterparts.
 	Shards int
 	// ExpectAllDropped asserts nothing is forwarded (whole-run outage

@@ -145,7 +145,7 @@ func NetPlans() []NetPlan {
 		},
 		// Sharded variants: the same wire faults with the ingress split
 		// across SO_REUSEPORT shards, so the fault path is exercised
-		// against the SPSC rings and the deadline-merged egress. The
+		// against the SPSC rings and the stamp-merged egress. The
 		// conservation oracle is shard-count-independent.
 		{
 			Name:            "wire-corrupt-sharded",

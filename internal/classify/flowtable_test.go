@@ -220,7 +220,10 @@ func TestFlowTableChurnAgainstModel(t *testing.T) {
 // TestFlowTableConcurrent: shard locking under concurrent mixed load
 // (mostly a -race exercise).
 func TestFlowTableConcurrent(t *testing.T) {
-	ft := NewFlowTable(FlowTableConfig{Shards: 8, TTL: 1000})
+	// Each goroutine's clock is its own loop index, so the TTL must exceed
+	// the largest skew between them (2000): otherwise a goroutine far ahead
+	// sweeps a lagging one's entry between its Insert and its Lookup.
+	ft := NewFlowTable(FlowTableConfig{Shards: 8, TTL: 4000})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -44,18 +44,6 @@ func (s *FCFS) Dequeue(now float64) *Packet {
 	return p
 }
 
-// PeekPriority implements HeadPeeker exactly: FCFS always serves the
-// oldest packet, so the head's waiting time is both the merge priority and
-// the selection Dequeue(now) makes. A peek-merge over per-shard FCFS
-// instances therefore reproduces the single-queue FCFS order.
-func (s *FCFS) PeekPriority(now float64) (pri float64, class int, ok bool) {
-	head := s.q.Peek()
-	if head == nil {
-		return 0, 0, false
-	}
-	return now - head.Arrival, head.Class, true
-}
-
 // Backlogged implements Scheduler.
 func (s *FCFS) Backlogged() bool { return s.q.Len() > 0 }
 

@@ -78,26 +78,27 @@ func TestRetuneRejectsBadParamsAndLeavesStateIntact(t *testing.T) {
 	}
 }
 
-// A retuned WTP must select under the new SDPs: with equal waiting times
-// the steeper class wins before the retune, the flattened vector hands the
-// tie-break back to the scan order.
+// A retuned WTP must select under the new SDPs: a younger class-1 head
+// outranks an older class-0 head under SDPs {1,8}, and the flattened vector
+// hands service back to the longest-waiting packet.
 func TestWTPRetuneChangesSelection(t *testing.T) {
 	s := NewWTP([]float64{1, 8})
 	s.Enqueue(mkPkt(1, 0, 100, 0), 0)
-	s.Enqueue(mkPkt(2, 1, 100, 0), 0)
-	pri, class, _ := s.PeekPriority(10)
-	if class != 1 || pri != 80 {
-		t.Fatalf("pre-retune peek = (%g,%d), want (80,1)", pri, class)
+	s.Enqueue(mkPkt(2, 1, 100, 5), 5)
+	s.Enqueue(mkPkt(3, 1, 100, 6), 6)
+	// Priorities at t=10: class 0 waits 10·1, class 1 waits 5·8.
+	if p := s.Dequeue(10); p.ID != 2 {
+		t.Fatalf("pre-retune Dequeue served packet %d, want 2 (class 1)", p.ID)
 	}
-	if err := s.Retune([]float64{100, 100}); err != nil {
+	if err := s.Retune([]float64{1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	pri, class, _ = s.PeekPriority(10)
-	if class != 1 || pri != 1000 {
-		t.Fatalf("post-retune peek = (%g,%d), want (1000,1)", pri, class)
+	// Under {1,8} class 1 would win again (4·8 > 10·1); under {1,1} it loses.
+	if p := s.Dequeue(10); p.ID != 1 {
+		t.Fatalf("post-retune Dequeue served packet %d, want 1 (class 0)", p.ID)
 	}
-	if got := s.SDP(0); got != 100 {
-		t.Fatalf("SDP(0) = %g after retune, want 100", got)
+	if got := s.SDP(1); got != 1 {
+		t.Fatalf("SDP(1) = %g after retune, want 1", got)
 	}
 }
 

@@ -27,30 +27,6 @@ type Scheduler interface {
 	Bytes(i int) int64
 }
 
-// HeadPeeker is the non-destructive selection preview used by the sharded
-// forwarder's deadline-merge egress (internal/netio): PeekPriority reports
-// the priority and class of the packet Dequeue(now) would return, without
-// dequeuing it. A merge stage peeks every shard's scheduler and dequeues
-// only from the shard holding the global maximum, so per-shard instances
-// compose into one global discipline.
-//
-// Higher priority wins; ties favor the higher class (mirroring WTP's
-// internal tie-break), and callers break remaining ties deterministically
-// (e.g. by shard index).
-//
-// WTP implements it exactly: PeekPriority(now) returns the priority and
-// class of precisely the packet an immediately following Dequeue(now)
-// would select (waiting time × SDP, §4.2), so a peek-merge over per-shard
-// WTP instances reproduces the single-queue WTP order. Schedulers that
-// embed classQueues inherit a FIFO-age fallback — priority = the oldest
-// head packet's waiting time — which ranks shards by global arrival order;
-// their own Dequeue may then serve a different class than the one peeked,
-// so a merge over them is FIFO across shards but discipline-faithful only
-// within each shard.
-type HeadPeeker interface {
-	PeekPriority(now float64) (pri float64, class int, ok bool)
-}
-
 // Kind names a scheduler discipline for construction by configuration.
 type Kind string
 
@@ -152,28 +128,3 @@ func (c *classQueues) Len(i int) int { return c.q[i].Len() }
 
 // Bytes returns the byte backlog of class i.
 func (c *classQueues) Bytes(i int) int64 { return c.bytes[i] }
-
-// PeekPriority is the FIFO-age fallback HeadPeeker implementation inherited
-// by every classQueues-embedding discipline that does not override it:
-// priority = the oldest backlogged head's waiting time, ties favoring the
-// higher class. Disciplines whose Dequeue order is not head-age order
-// (DRR, WFQ, BPR, ...) merge across shards in global-FIFO order under this
-// fallback rather than in their exact single-queue order; WTP overrides it
-// with the exact waiting-time-priority scan.
-func (c *classQueues) PeekPriority(now float64) (pri float64, class int, ok bool) {
-	best := -1
-	var bestPri float64
-	for i := range c.q {
-		head := c.q[i].Peek()
-		if head == nil {
-			continue
-		}
-		if p := now - head.Arrival; best == -1 || p >= bestPri {
-			best, bestPri = i, p
-		}
-	}
-	if best == -1 {
-		return 0, 0, false
-	}
-	return bestPri, best, true
-}

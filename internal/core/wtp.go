@@ -39,33 +39,18 @@ func (s *WTP) Enqueue(p *Packet, now float64) { s.push(p) }
 
 // Dequeue implements Scheduler.
 func (s *WTP) Dequeue(now float64) *Packet {
-	best, _ := s.selectClass(now)
+	best := s.selectClass(now)
 	if best == -1 {
 		return nil
 	}
 	return s.pop(best)
 }
 
-// PeekPriority implements HeadPeeker exactly: it reports the class and
-// priority of the packet Dequeue(now) would select, without dequeuing it.
-// The sharded forwarder's deadline-merge egress (internal/netio) peeks
-// every shard's WTP this way and serves the global maximum, which is the
-// same packet a single aggregate WTP would have selected (each class's
-// globally oldest head is some shard's head, because per-shard class
-// queues are FIFO in arrival order).
-func (s *WTP) PeekPriority(now float64) (pri float64, class int, ok bool) {
-	best, bestPri := s.selectClass(now)
-	if best == -1 {
-		return 0, 0, false
-	}
-	return bestPri, best, true
-}
-
 // selectClass runs the §4.2 selection scan: the backlogged class whose head
 // packet has the highest waiting-time priority, or -1 when all queues are
 // empty.
-func (s *WTP) selectClass(now float64) (best int, bestPri float64) {
-	best = -1
+func (s *WTP) selectClass(now float64) int {
+	best, bestPri := -1, 0.0
 	for i, q := range s.q {
 		head := q.Peek()
 		if head == nil {
@@ -78,5 +63,5 @@ func (s *WTP) selectClass(now float64) (best int, bestPri float64) {
 			best, bestPri = i, pri
 		}
 	}
-	return best, bestPri
+	return best
 }

@@ -30,16 +30,15 @@ type Config struct {
 	// MaxPackets bounds the aggregate queue; arriving datagrams beyond
 	// it are dropped (0 = 4096).
 	MaxPackets int
-	// Shards is the number of parallel ingress shards (0 or 1 = the
-	// classic single-path forwarder, byte-identical to its pre-sharding
-	// behaviour). Each shard owns an ingress socket — bound with
-	// SO_REUSEPORT so the kernel's 4-tuple flow hash pins every flow to
-	// one shard — plus a private scheduler instance and a lock-free SPSC
-	// ring into the single transmit goroutine, which always serves the
-	// globally most urgent head across shards (deadline merge; exact for
-	// WTP and FCFS, see core.HeadPeeker). When SO_REUSEPORT is
-	// unavailable the shards share one socket and flow→shard stability is
-	// lost (ShardStats reports SharedSocket). At most 64.
+	// Shards is the number of parallel ingress shards (0 = 1). Each shard
+	// owns an ingress socket — bound with SO_REUSEPORT so the kernel's
+	// 4-tuple flow hash pins every flow to one shard — and a lock-free
+	// SPSC ring into the single transmit goroutine, which merges the rings
+	// by arrival stamp into the one scheduler, so every discipline serves
+	// the same order at every shard count (DESIGN.md §3h). When
+	// SO_REUSEPORT is unavailable the shards share one socket and
+	// flow→shard stability is lost (ShardStats reports SharedSocket). At
+	// most 64.
 	Shards int
 	// ClassMaxPackets, when non-nil, bounds each class's queue
 	// individually (len must equal the scheduler's class count; 0 means
@@ -68,10 +67,6 @@ type Config struct {
 	// Received = Forwarded + Dropped + BadHeader + BadClass holds after
 	// shutdown.
 	DrainTimeout time.Duration
-	// DisablePooling turns off ingress buffer and packet reuse, forcing
-	// a fresh allocation per datagram (debugging aid; pooling is the
-	// default).
-	DisablePooling bool
 	// Telemetry, if set, receives per-class counters and queueing-delay
 	// histograms for every datagram (delays in seconds). Leave nil to
 	// run uninstrumented; MetricsAddr implies a registry.
@@ -86,11 +81,11 @@ type Config struct {
 	// background goroutine snapshots the telemetry registry every
 	// ControlInterval, feeds the controller (Control.SDP and Control.Kind
 	// default from SDP and Scheduler), and stages each decision through
-	// Retune — so every per-shard scheduler is retuned atomically between
-	// egress batches. Requires a retunable Scheduler kind; a telemetry
-	// registry is created automatically when none is configured. When the
-	// measured ratios stay inside the controller's deadband no retune is
-	// ever staged and the data path is untouched.
+	// Retune — so the scheduler is retuned between egress batches.
+	// Requires a retunable Scheduler kind; a telemetry registry is created
+	// automatically when none is configured. When the measured ratios stay
+	// inside the controller's deadband no retune is ever staged and the
+	// data path is untouched.
 	Control *control.Config
 	// ControlInterval is the controller's observation period
 	// (default 1s).
@@ -187,12 +182,13 @@ type ShardStats struct {
 //
 // Data plane layout: N ingress shard goroutines (Config.Shards) each read
 // batches from their own socket, classify, account admission, and publish
-// packets on a lock-free SPSC ring. The single transmit goroutine owns
-// every per-shard scheduler instance: it drains the rings into them, peeks
-// each shard's head priority (core.HeadPeeker), and dequeues the global
-// maximum — so WTP's service order is preserved across shards without any
-// queue lock. Counter transactions take statMu, held for whole batches at
-// ingress and whole egress batches at transmit.
+// packets on a lock-free SPSC ring. The single transmit goroutine owns the
+// one scheduler: it merges the rings into it by arrival stamp (drainRings)
+// and calls Dequeue — so the scheduler sees the arrival sequence a
+// single-socket forwarder would, and every discipline's service order is
+// preserved across shards without any queue lock. Counter transactions take
+// statMu, held for whole batches at ingress and whole egress batches at
+// transmit.
 //
 // Telemetry ordering contract: for every datagram the registry sees the
 // Arrival strictly before the matching Departure or Drop (both are
@@ -223,11 +219,9 @@ type Forwarder struct {
 
 	shards []*ingressShard
 
-	// scheds/peekers/backlog are owned by the transmit goroutine (and by
-	// Close's final sweep, which runs strictly after it exits).
-	scheds  []core.Scheduler
-	peekers []core.HeadPeeker
-	backlog int
+	// sched is owned by the transmit goroutine (and by Close's final
+	// sweep, which runs strictly after it exits).
+	sched core.Scheduler
 
 	wake    chan struct{} // 1-buffered ingress→transmit doorbell
 	closeCh chan struct{} // closed once by Close
@@ -235,8 +229,8 @@ type Forwarder struct {
 	// retunePending flags a staged parameter vector; the vector itself
 	// (pendingParams) and the applied history live under statMu. The
 	// transmit goroutine checks the flag between egress batches and
-	// installs the vector into every per-shard scheduler in one step, so
-	// no packet is ever scheduled under a half-updated parameter set.
+	// installs the vector there, so no packet is ever scheduled under a
+	// half-updated parameter set.
 	retunePending atomic.Bool
 
 	// ctl is the optional closed-loop controller, driven solely by its
@@ -292,20 +286,12 @@ func Listen(cfg Config) (*Forwarder, error) {
 		}
 	}
 	rate := cfg.RateBps / 8
-	// One scheduler instance per shard; the transmit goroutine owns all
-	// of them and merges their heads by priority.
-	scheds := make([]core.Scheduler, cfg.Shards)
-	peekers := make([]core.HeadPeeker, cfg.Shards)
-	for i := range scheds {
-		s, err := core.New(cfg.Scheduler, cfg.SDP, rate)
-		if err != nil {
-			closeConns()
-			return nil, err
-		}
-		scheds[i] = s
-		peekers[i] = s.(core.HeadPeeker)
+	sched, err := core.New(cfg.Scheduler, cfg.SDP, rate)
+	if err != nil {
+		closeConns()
+		return nil, err
 	}
-	numClasses := scheds[0].NumClasses()
+	numClasses := sched.NumClasses()
 	if cfg.Classifier != nil && cfg.Classifier.NumClasses() != numClasses {
 		closeConns()
 		return nil, fmt.Errorf("netio: classifier declares %d classes, scheduler %d",
@@ -338,8 +324,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 		numClasses:  numClasses,
 		ingressAddr: local.Addr().Unmap(),
 		ingressPort: local.Port(),
-		scheds:      scheds,
-		peekers:     peekers,
+		sched:       sched,
 		wake:        make(chan struct{}, 1),
 		closeCh:     make(chan struct{}),
 		classQueued: make([]int, numClasses),
@@ -349,7 +334,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 		f.telem = telemetry.NewWithSDP(cfg.SDP)
 	}
 	if cfg.Control != nil {
-		if _, ok := scheds[0].(core.Retuner); !ok {
+		if _, ok := sched.(core.Retuner); !ok {
 			closeConns()
 			return nil, fmt.Errorf("netio: Control: %s is not retunable", cfg.Scheduler)
 		}
@@ -439,15 +424,15 @@ func (f *Forwarder) ShardStats() []ShardStats {
 	return out
 }
 
-// Retune stages a new scheduler parameter vector for every shard. The
-// vector is validated synchronously (core.CheckRetuneParams plus the
-// kind's retunability); the installation itself is performed by the
-// transmit goroutine between egress batches, so service order is never
-// computed under a half-updated parameter set and no queued packet is
-// touched. A second Retune before the first installs simply replaces the
-// staged vector. Safe for concurrent use.
+// Retune stages a new scheduler parameter vector. The vector is validated
+// synchronously (core.CheckRetuneParams plus the kind's retunability); the
+// installation itself is performed by the transmit goroutine between
+// egress batches, so service order is never computed under a half-updated
+// parameter set and no queued packet is touched. A second Retune before
+// the first installs simply replaces the staged vector. Safe for
+// concurrent use.
 func (f *Forwarder) Retune(params []float64) error {
-	if _, ok := f.scheds[0].(core.Retuner); !ok {
+	if _, ok := f.sched.(core.Retuner); !ok {
 		return fmt.Errorf("netio: %w", core.ErrNotRetunable)
 	}
 	if err := core.CheckRetuneParams(params, f.numClasses); err != nil {
@@ -496,10 +481,9 @@ func (f *Forwarder) ControlStats() (control.Stats, bool) {
 	return f.ctlStats, true
 }
 
-// maybeRetune installs a staged parameter vector into every per-shard
-// scheduler. Transmit-side only: between the check and the installation
-// no dequeue happens, so the swap is atomic with respect to service
-// order.
+// maybeRetune installs a staged parameter vector into the scheduler.
+// Transmit-side only: between the check and the installation no dequeue
+// happens, so the swap is atomic with respect to service order.
 func (f *Forwarder) maybeRetune() {
 	if !f.retunePending.Load() {
 		return
@@ -512,12 +496,10 @@ func (f *Forwarder) maybeRetune() {
 	if len(params) == 0 {
 		return
 	}
-	for _, s := range f.scheds {
-		// Validated in Retune; the per-shard copies share one kind, so a
-		// failure here would be a programming error, not an input error.
-		if err := core.Retune(s, params); err != nil {
-			return
-		}
+	// Validated in Retune, so a failure here would be a programming error,
+	// not an input error.
+	if err := core.Retune(f.sched, params); err != nil {
+		return
 	}
 	f.statMu.Lock()
 	f.retuneApplied++
@@ -633,71 +615,39 @@ func (f *Forwarder) txTime(size int64) time.Duration {
 	return time.Duration(float64(size) / f.rate * float64(time.Second))
 }
 
-// recycle returns p to its shard's free ring after its terminal event.
-// Transmit-side only (or Close's final sweep, strictly after the
-// transmitter exits). A full free ring simply releases the packet to the
-// garbage collector.
-func (f *Forwarder) recycle(shard int, p *core.Packet) {
-	if f.cfg.DisablePooling {
-		return
-	}
+// recycle returns p to its home shard's free ring (getPacket recorded the
+// shard in p.Flow) after its terminal event. Transmit-side only (or Close's
+// final sweep, strictly after the transmitter exits). A full free ring
+// simply releases the packet to the garbage collector.
+func (f *Forwarder) recycle(p *core.Packet) {
 	p.Payload = p.Payload[:0]
-	f.shards[shard].free.Push(p)
+	f.shards[p.Flow].free.Push(p)
 }
 
 // drainRings moves every published packet from the shard rings into the
-// corresponding scheduler instance. Transmit-side only.
+// scheduler in arrival-stamp order. Each ring is already stamp-sorted (a
+// shard stamps and publishes its batches in order), so repeatedly taking
+// the ring head with the smallest stamp — ties to the lower shard index —
+// is an N-way merge: the scheduler sees the sequence a single ingress
+// socket would have produced. A packet published after the drain passed
+// its stamp queues behind the later-stamped packets of its class already
+// enqueued; that lag is at most one receive batch's processing time
+// (DESIGN.md §3h). Transmit-side only.
 func (f *Forwarder) drainRings() {
-	for i, sh := range f.shards {
-		for {
-			p := sh.xmit.Pop()
-			if p == nil {
-				break
+	for {
+		var from *spscRing
+		var next *core.Packet
+		for _, sh := range f.shards {
+			if p := sh.xmit.Peek(); p != nil && (next == nil || p.Arrival < next.Arrival) {
+				from, next = sh.xmit, p
 			}
-			f.scheds[i].Enqueue(p, p.Arrival)
-			f.backlog++
 		}
+		if next == nil {
+			return
+		}
+		from.advance()
+		f.sched.Enqueue(next, next.Arrival)
 	}
-}
-
-// selectShard returns the shard whose scheduler holds the globally most
-// urgent head, or -1 when all are empty. For WTP and FCFS the per-shard
-// peek names exactly what that shard's Dequeue would serve, so taking the
-// argmax reproduces the single-queue service order (see DESIGN.md §3h);
-// ties — possible when per-batch amortized stamps collide — resolve like
-// the scheduler's own tie-break (higher class first), then lowest shard.
-func (f *Forwarder) selectShard(now float64) int {
-	if len(f.scheds) == 1 {
-		if f.backlog == 0 {
-			return -1
-		}
-		return 0
-	}
-	best, bestClass := -1, -1
-	bestPri := 0.0
-	for i, pk := range f.peekers {
-		pri, class, ok := pk.PeekPriority(now)
-		if !ok {
-			continue
-		}
-		if best < 0 || pri > bestPri || (pri == bestPri && class > bestClass) {
-			best, bestPri, bestClass = i, pri, class
-		}
-	}
-	return best
-}
-
-// recountBacklog resynchronizes the transmitter's backlog counter from
-// the schedulers (defensive; reached only if a scheduler disagrees with
-// its own accounting).
-func (f *Forwarder) recountBacklog() {
-	n := 0
-	for _, sched := range f.scheds {
-		for c := 0; c < f.numClasses; c++ {
-			n += sched.Len(c)
-		}
-	}
-	f.backlog = n
 }
 
 func (f *Forwarder) transmitLoop() {
@@ -714,7 +664,6 @@ func (f *Forwarder) transmitLoop() {
 	}
 
 	pkts := make([]*core.Packet, 0, defaultIOBatch)
-	shards := make([]int, 0, defaultIOBatch)
 	departs := make([]float64, 0, defaultIOBatch)
 	werrs := make([]error, defaultIOBatch)
 	payloads := make([][]byte, 0, defaultIOBatch)
@@ -732,8 +681,8 @@ func (f *Forwarder) transmitLoop() {
 
 		f.drainRings()
 		f.maybeRetune()
-		wasEmpty := f.backlog == 0
-		for f.backlog == 0 {
+		wasEmpty := !f.sched.Backlogged()
+		for !f.sched.Backlogged() {
 			if closing, _ := f.closeState(); closing {
 				// Nothing queued and no more arrivals: drained.
 				return
@@ -751,17 +700,7 @@ func (f *Forwarder) transmitLoop() {
 		}
 
 		depart := f.now()
-		s := f.selectShard(depart)
-		if s < 0 {
-			f.recountBacklog()
-			continue
-		}
-		p := f.scheds[s].Dequeue(depart)
-		if p == nil { // defensive: backlog said otherwise
-			f.recountBacklog()
-			continue
-		}
-		f.backlog--
+		p := f.sched.Dequeue(depart)
 
 		if wasEmpty {
 			// The link sat idle: restart the pacer clock so unused
@@ -773,7 +712,6 @@ func (f *Forwarder) transmitLoop() {
 		}
 
 		pkts = append(pkts[:0], p)
-		shards = append(shards[:0], s)
 		departs = append(departs[:0], depart)
 		nextFree = nextFree.Add(f.txTime(p.Size))
 
@@ -786,21 +724,12 @@ func (f *Forwarder) transmitLoop() {
 		if bc != nil && bc.Batched() && f.cfg.Fault == nil {
 			for len(pkts) < defaultIOBatch && nextFree.Before(time.Now()) {
 				f.drainRings()
-				if f.backlog == 0 {
+				if !f.sched.Backlogged() {
 					break
 				}
 				d := f.now()
-				si := f.selectShard(d)
-				if si < 0 {
-					break
-				}
-				q := f.scheds[si].Dequeue(d)
-				if q == nil {
-					break
-				}
-				f.backlog--
+				q := f.sched.Dequeue(d)
 				pkts = append(pkts, q)
-				shards = append(shards, si)
 				departs = append(departs, d)
 				nextFree = nextFree.Add(f.txTime(q.Size))
 			}
@@ -843,16 +772,16 @@ func (f *Forwarder) transmitLoop() {
 			f.classQueued[q.Class]--
 		}
 		f.statMu.Unlock()
-		for i, q := range pkts {
-			f.recycle(shards[i], q)
+		for _, q := range pkts {
+			f.recycle(q)
 		}
 	}
 }
 
 // discardAll drops every packet the transmit side owns — shard rings and
-// scheduler instances — with full accounting, so Received = Forwarded +
-// Dropped + BadHeader + BadClass holds after shutdown and the telemetry
-// backlog returns to zero. Called from the transmit goroutine at the drain
+// scheduler — with full accounting, so Received = Forwarded + Dropped +
+// BadHeader + BadClass holds after shutdown and the telemetry backlog
+// returns to zero. Called from the transmit goroutine at the drain
 // deadline, and from Close strictly after both goroutine groups exit (the
 // final sweep that catches packets a shard published after the
 // transmitter's last look).
@@ -860,19 +789,13 @@ func (f *Forwarder) discardAll() {
 	f.drainRings()
 	now := f.now()
 	f.statMu.Lock()
-	for s, sched := range f.scheds {
-		for {
-			p := sched.Dequeue(now)
-			if p == nil {
-				break
-			}
-			f.stats.Dropped++
-			f.telem.Drop(p.Class, now)
-			f.queued--
-			f.classQueued[p.Class]--
-			f.backlog--
-			f.recycle(s, p)
-		}
+	for f.sched.Backlogged() {
+		p := f.sched.Dequeue(now)
+		f.stats.Dropped++
+		f.telem.Drop(p.Class, now)
+		f.queued--
+		f.classQueued[p.Class]--
+		f.recycle(p)
 	}
 	f.statMu.Unlock()
 }

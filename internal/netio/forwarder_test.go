@@ -478,7 +478,10 @@ func TestForwarderPacingAccuracy(t *testing.T) {
 		t.Fatalf("achieved egress rate %.0f bps, want %.0f ±2%% (deviation %+.2f%%)",
 			achieved, float64(rateBps), dev*100)
 	}
-	if st := fwd.Stats(); st.Forwarded != total || st.Dropped != 0 {
+	// The transmitter counts a datagram just after writing it, so the sink
+	// can hold the last one before the counters do.
+	st := waitStats(t, fwd, 5*time.Second, func(st Stats) bool { return st.Queued == 0 }, "the last datagram to be counted")
+	if st.Forwarded != total || st.Dropped != 0 {
 		t.Fatalf("stats %+v", st)
 	}
 }

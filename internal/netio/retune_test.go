@@ -2,6 +2,7 @@ package netio
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,42 +32,53 @@ func waitRetune(t *testing.T, f *Forwarder, timeout time.Duration, cond func(Ret
 // idle forwarder, since Retune wakes it — and the seam's counters must
 // reflect exactly the vector that went in.
 func TestForwarderRetuneApplies(t *testing.T) {
-	recv := sink(t)
-	fwd, err := Listen(Config{
-		Listen:    "127.0.0.1:0",
-		Forward:   recv.LocalAddr().String(),
-		Scheduler: core.KindWTP,
-		SDP:       []float64{1, 4},
-		RateBps:   1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
+	for _, tc := range []struct {
+		kind   core.Kind
+		shards int
+	}{
+		{core.KindWTP, 1},
+		{core.KindDRR, 2},
+	} {
+		t.Run(fmt.Sprintf("%s/shards=%d", tc.kind, tc.shards), func(t *testing.T) {
+			recv := sink(t)
+			fwd, err := Listen(Config{
+				Listen:    "127.0.0.1:0",
+				Forward:   recv.LocalAddr().String(),
+				Scheduler: tc.kind,
+				SDP:       []float64{1, 4},
+				RateBps:   1 << 20,
+				Shards:    tc.shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fwd.Close()
 
-	if rs := fwd.RetuneStats(); rs.Pending || rs.Applied != 0 || rs.Params != nil {
-		t.Fatalf("fresh forwarder has retune activity: %+v", rs)
-	}
-	want := []float64{1, 8}
-	if err := fwd.Retune(want); err != nil {
-		t.Fatal(err)
-	}
-	rs := waitRetune(t, fwd, 5*time.Second, func(rs RetuneStats) bool {
-		return rs.Applied == 1 && !rs.Pending
-	}, "staged vector to install")
-	if len(rs.Params) != len(want) || rs.Params[0] != want[0] || rs.Params[1] != want[1] {
-		t.Fatalf("installed params %v, want %v", rs.Params, want)
-	}
+			if rs := fwd.RetuneStats(); rs.Pending || rs.Applied != 0 || rs.Params != nil {
+				t.Fatalf("fresh forwarder has retune activity: %+v", rs)
+			}
+			want := []float64{1, 8}
+			if err := fwd.Retune(want); err != nil {
+				t.Fatal(err)
+			}
+			rs := waitRetune(t, fwd, 5*time.Second, func(rs RetuneStats) bool {
+				return rs.Applied == 1 && !rs.Pending
+			}, "staged vector to install")
+			if len(rs.Params) != len(want) || rs.Params[0] != want[0] || rs.Params[1] != want[1] {
+				t.Fatalf("installed params %v, want %v", rs.Params, want)
+			}
 
-	// A second vector replaces the first; Applied keeps counting.
-	if err := fwd.Retune([]float64{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	rs = waitRetune(t, fwd, 5*time.Second, func(rs RetuneStats) bool {
-		return rs.Applied == 2
-	}, "second vector to install")
-	if rs.Params[1] != 2 {
-		t.Fatalf("installed params %v, want [1 2]", rs.Params)
+			// A second vector replaces the first; Applied keeps counting.
+			if err := fwd.Retune([]float64{1, 2}); err != nil {
+				t.Fatal(err)
+			}
+			rs = waitRetune(t, fwd, 5*time.Second, func(rs RetuneStats) bool {
+				return rs.Applied == 2
+			}, "second vector to install")
+			if rs.Params[1] != 2 {
+				t.Fatalf("installed params %v, want [1 2]", rs.Params)
+			}
+		})
 	}
 }
 

@@ -74,15 +74,30 @@ func (r *spscRing) Push(p *core.Packet) bool {
 	return true
 }
 
-// Pop removes and returns the oldest packet, or nil when the ring is
-// empty. Consumer side only.
-func (r *spscRing) Pop() *core.Packet {
+// Peek returns the oldest packet without removing it, or nil when the ring
+// is empty. Consumer side only; the acquire load of tail orders the slot
+// read exactly as in Pop.
+func (r *spscRing) Peek() *core.Packet {
 	head := r.head.Load()
 	if head == r.tail.Load() {
 		return nil
 	}
-	p := r.slots[head&r.mask]
+	return r.slots[head&r.mask]
+}
+
+// Pop removes and returns the oldest packet, or nil when the ring is
+// empty. Consumer side only.
+func (r *spscRing) Pop() *core.Packet {
+	p := r.Peek()
+	if p != nil {
+		r.advance()
+	}
+	return p
+}
+
+// advance drops the packet Peek just returned. Consumer side only.
+func (r *spscRing) advance() {
+	head := r.head.Load()
 	r.slots[head&r.mask] = nil
 	r.head.Store(head + 1) // release: publishes the slot read above
-	return p
 }

@@ -261,17 +261,17 @@ func (s *ingressShard) processBatch(slots []recvSlot, nowT time.Time) {
 }
 
 // getPacket returns a packet whose payload buffer has capacity ≥ n,
-// preferring a recycled one from the transmitter's free ring.
+// preferring a recycled one from the transmitter's free ring. A fresh
+// packet records this shard in Flow (a field the forwarder otherwise leaves
+// zero) so recycle can return it to the ring it came from.
 func (s *ingressShard) getPacket(n int) *core.Packet {
-	if !s.f.cfg.DisablePooling {
-		if p := s.free.Pop(); p != nil {
-			if cap(p.Payload) < n {
-				p.Payload = make([]byte, 0, payloadCap(n))
-			}
-			return p
+	if p := s.free.Pop(); p != nil {
+		if cap(p.Payload) < n {
+			p.Payload = make([]byte, 0, payloadCap(n))
 		}
+		return p
 	}
-	return &core.Packet{Payload: make([]byte, 0, payloadCap(n))}
+	return &core.Packet{Flow: uint64(s.idx), Payload: make([]byte, 0, payloadCap(n))}
 }
 
 // payloadCap rounds a datagram size up to the payload buffer capacity

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -198,156 +199,242 @@ func flowShard(flow, shards int) int {
 	return int(uint32(flow)*2654435761) % shards
 }
 
-// newBareShardedForwarder assembles the transmit-side state (schedulers,
-// peekers) without sockets or goroutines, for oracle and alloc tests.
-func newBareShardedForwarder(t testing.TB, shards int, sdp []float64) *Forwarder {
+// newBareForwarder assembles the data-plane state — the scheduler, the
+// shards and their rings, the accounting tables — without sockets or
+// goroutines, for oracle and alloc tests.
+func newBareForwarder(t testing.TB, kind core.Kind, shards int, sdp []float64) *Forwarder {
 	t.Helper()
-	f := &Forwarder{numClasses: len(sdp)}
+	sched, err := core.New(kind, sdp, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &Forwarder{
+		cfg:         Config{MaxPackets: 512}.withDefaults(),
+		epoch:       time.Now(),
+		telem:       telemetry.NewWithSDP(sdp),
+		numClasses:  len(sdp),
+		sched:       sched,
+		classQueued: make([]int, len(sdp)),
+		shardStats:  make([]ShardStats, shards),
+	}
 	for i := 0; i < shards; i++ {
-		s, err := core.New(core.KindWTP, sdp, 1e6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.scheds = append(f.scheds, s)
-		f.peekers = append(f.peekers, s.(core.HeadPeeker))
+		f.shards = append(f.shards, newIngressShard(f, i, &batchConn{}))
 	}
 	return f
 }
 
-// The ordering oracle (deadline-merge correctness): replay a recorded
-// arrival trace through N per-shard WTP instances merged by selectShard,
-// against a single-queue WTP reference served at the same instants.
+// oracleArrival is one packet of the ordering oracle's recorded trace.
+type oracleArrival struct {
+	at    float64 // arrival stamp (what the shard writes into Packet.Arrival)
+	pub   float64 // when the shard publishes it on its ring (>= at)
+	class int
+	shard int
+	id    uint64
+}
+
+func (a oracleArrival) packet() *core.Packet {
+	return &core.Packet{ID: a.id, Class: a.class, Size: 100, Arrival: a.at}
+}
+
+// oracleSvcGap is the oracle's service period, slightly longer than the
+// trace's mean inter-arrival time (1 ms) so a backlog builds and the
+// disciplines' priorities actually compete.
+const oracleSvcGap = 0.0015
+
+// oracleTrace returns a seeded arrival trace with nondecreasing stamps.
+// With quantized stamps whole groups share one stamp, as a receive batch's
+// single time.Now() produces (10 ms quantum ≈ one batch).
+func oracleTrace(shards int, quantized bool) []oracleArrival {
+	rng := rand.New(rand.NewSource(7))
+	trace := make([]oracleArrival, 4000)
+	now := 0.0
+	for i := range trace {
+		now += rng.Float64() * 0.002
+		at := now
+		if quantized {
+			at = math.Floor(now/0.010) * 0.010
+		}
+		trace[i] = oracleArrival{
+			at:    at,
+			pub:   at,
+			class: rng.Intn(4),
+			shard: flowShard(rng.Intn(64), shards),
+			id:    uint64(i + 1),
+		}
+	}
+	return trace
+}
+
+// oracleReplay is the oracle's link harness. It hands each packet of trace
+// (sorted by pub) to offer at the first service instant at or after its
+// publication, calls drain, and serves one packet per oracleSvcGap while
+// sched is backlogged, jumping idle gaps. Work conservation makes the
+// service instants a function of the trace alone, so two replays of one
+// trace serve at identical instants whatever feeds sched. It returns the
+// served IDs in order and the instant each packet was offered.
+func oracleReplay(trace []oracleArrival, sched core.Scheduler, offer func(oracleArrival), drain func()) (order []uint64, visible map[uint64]float64) {
+	order = make([]uint64, 0, len(trace))
+	visible = make(map[uint64]float64, len(trace))
+	ti, svcAt := 0, 0.0
+	for len(order) < len(trace) {
+		for ti < len(trace) && trace[ti].pub <= svcAt {
+			offer(trace[ti])
+			visible[trace[ti].id] = svcAt
+			ti++
+		}
+		drain()
+		if !sched.Backlogged() {
+			svcAt = trace[ti].pub // idle: jump to the next publication
+			continue
+		}
+		order = append(order, sched.Dequeue(svcAt).ID)
+		svcAt += oracleSvcGap
+	}
+	return order, visible
+}
+
+// oracleDirect replays trace into a fresh scheduler fed directly, in trace
+// order: the single-socket reference.
+func oracleDirect(t *testing.T, kind core.Kind, sdp []float64, trace []oracleArrival) []uint64 {
+	t.Helper()
+	ref, err := core.New(kind, sdp, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, _ := oracleReplay(trace, ref, func(a oracleArrival) { ref.Enqueue(a.packet(), a.at) }, func() {})
+	return order
+}
+
+// oracleMerged replays trace through the live path: each packet is pushed
+// on its shard's real xmit ring, drainRings merges the rings into the
+// forwarder's one scheduler, and Dequeue serves.
+func oracleMerged(t *testing.T, kind core.Kind, sdp []float64, shards int, trace []oracleArrival) (order []uint64, visible map[uint64]float64) {
+	t.Helper()
+	f := newBareForwarder(t, kind, shards, sdp)
+	return oracleReplay(trace, f.sched, func(a oracleArrival) {
+		if !f.shards[a.shard].xmit.Push(a.packet()) {
+			t.Fatalf("shard %d ring full offering packet %d", a.shard, a.id)
+		}
+	}, f.drainRings)
+}
+
+// The ordering oracle (stamp-merge correctness, DESIGN.md §3h): replay a
+// recorded arrival trace through real shard rings → drainRings → the one
+// scheduler, for every discipline at 1, 2 and 8 shards, against the same
+// discipline fed directly and served at the same instants.
 //
-//   - distinct arrival stamps: the merged service order must be EXACTLY the
-//     single-queue order, at every shard count — the per-shard peek names
-//     what Dequeue serves, and the argmax over shard heads is the global
-//     WTP selection.
-//   - batch-quantized stamps (what per-batch time.Now() amortization
-//     produces): the served (stamp, class) sequence must still be
-//     elementwise identical to the single queue's — only packet IDs within
-//     an equal-stamp equal-class group may permute, because their relative
-//     order is the one thing single-queue WTP itself decides arbitrarily
-//     (FIFO on push order). The ID-level inversions that permutation
-//     induces are counted and logged as the measured inversion error.
+//   - distinct: with distinct arrival stamps the merge reconstructs the
+//     trace order, so the served ID sequence must be EXACTLY the
+//     reference's.
+//   - batched: with batch-quantized stamps the merge orders an equal-stamp
+//     group by shard index, so the served IDs must equal the reference fed
+//     the trace stably sorted by (stamp, shard). For WTP the served
+//     (stamp, class) sequence must also equal the UNSORTED reference's at
+//     every position: WTP's selection reads only each class's head stamp,
+//     so reordering a group moves IDs inside one (stamp, class) cell and
+//     nothing else. FCFS and DRR cannot promise that — FCFS serves in
+//     enqueue order and DRR's active list records which class became
+//     backlogged first, so both see the cross-class order inside an
+//     equal-stamp group.
+//   - lagged: the last shard publishes every packet one service period
+//     after stamping it (a shard still processing its receive batch), so
+//     its packets surface one drain late and queue behind later-stamped
+//     packets of their class. Every such same-class inversion — a served
+//     before an older b — must be explained by visibility: b surfaced in a
+//     later drain than a, and a was stamped before b was published, hence
+//     stamp(a) < published(b) <= visible(b) — a packet is only ever
+//     overtaken by arrivals inside its own stamp-to-publish lag, whatever
+//     the drain period. The inversion count and the largest overtaking
+//     margin stamp(a) − stamp(b) are logged.
 func TestForwarderMergeOrderingOracle(t *testing.T) {
 	sdp := []float64{1, 2, 4, 8}
-	const n = 4000
-	for _, shards := range []int{1, 2, 8} {
-		for _, quantized := range []bool{false, true} {
-			name := fmt.Sprintf("shards=%d/distinct", shards)
-			if quantized {
-				name = fmt.Sprintf("shards=%d/batched", shards)
+	forKinds := func(t *testing.T, check func(t *testing.T, kind core.Kind)) {
+		for _, kind := range core.Kinds() {
+			t.Run(string(kind), func(t *testing.T) { check(t, kind) })
+		}
+	}
+	requireSameIDs := func(t *testing.T, merged, ref []uint64) {
+		t.Helper()
+		for i := range ref {
+			if merged[i] != ref[i] {
+				t.Fatalf("service %d: merged served packet %d, reference served %d", i, merged[i], ref[i])
 			}
-			t.Run(name, func(t *testing.T) {
-				ref, err := core.New(core.KindWTP, sdp, 1e6)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f := newBareShardedForwarder(t, shards, sdp)
+		}
+	}
+	for _, shards := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("shards=%d/distinct", shards), func(t *testing.T) {
+			trace := oracleTrace(shards, false)
+			forKinds(t, func(t *testing.T, kind core.Kind) {
+				merged, _ := oracleMerged(t, kind, sdp, shards, trace)
+				requireSameIDs(t, merged, oracleDirect(t, kind, sdp, trace))
+			})
+		})
 
-				type pktInfo struct {
-					arrival float64
-					class   int
+		t.Run(fmt.Sprintf("shards=%d/batched", shards), func(t *testing.T) {
+			trace := oracleTrace(shards, true)
+			sorted := append([]oracleArrival(nil), trace...)
+			sort.SliceStable(sorted, func(i, j int) bool {
+				if sorted[i].at != sorted[j].at {
+					return sorted[i].at < sorted[j].at
 				}
-				info := make(map[uint64]pktInfo, n)
-				type arrival struct {
-					at    float64
-					class int
-					shard int
-					id    uint64
-				}
-				rng := rand.New(rand.NewSource(7))
-				trace := make([]arrival, n)
-				now := 0.0
-				for i := range trace {
-					now += rng.Float64() * 0.002
-					at := now
-					if quantized {
-						// 10 ms quantum ≈ one received batch's shared stamp.
-						at = math.Floor(now/0.010) * 0.010
-					}
-					trace[i] = arrival{
-						at:    at,
-						class: rng.Intn(len(sdp)),
-						shard: flowShard(rng.Intn(64), shards),
-						id:    uint64(i + 1),
-					}
-					info[trace[i].id] = pktInfo{arrival: at, class: trace[i].class}
-				}
-
-				// Serve both systems at identical instants, slightly slower
-				// than the mean arrival rate so a backlog builds and WTP
-				// priorities actually compete.
-				const svcGap = 0.0015
-				refOrder := make([]uint64, 0, n)
-				mergedOrder := make([]uint64, 0, n)
-				ti, backlog := 0, 0
-				svcAt := 0.0
-				for len(refOrder) < n {
-					for ti < n && trace[ti].at <= svcAt {
-						a := trace[ti]
-						ref.Enqueue(&core.Packet{ID: a.id, Class: a.class, Size: 100, Arrival: a.at}, a.at)
-						f.scheds[a.shard].Enqueue(&core.Packet{ID: a.id, Class: a.class, Size: 100, Arrival: a.at}, a.at)
-						ti++
-						backlog++
-					}
-					if backlog == 0 {
-						svcAt = trace[ti].at // idle: jump to the next arrival
-						continue
-					}
-					pRef := ref.Dequeue(svcAt)
-					f.backlog = backlog
-					si := f.selectShard(svcAt)
-					if si < 0 {
-						t.Fatalf("selectShard found nothing with backlog %d", backlog)
-					}
-					pM := f.scheds[si].Dequeue(svcAt)
-					if pRef == nil || pM == nil {
-						t.Fatalf("dequeue returned nil with backlog %d", backlog)
-					}
-					backlog--
-					refOrder = append(refOrder, pRef.ID)
-					mergedOrder = append(mergedOrder, pM.ID)
-					svcAt += svcGap
-				}
-
-				if !quantized {
-					for i := range refOrder {
-						if refOrder[i] != mergedOrder[i] {
-							t.Fatalf("service %d: merged served packet %d, single-queue served %d",
-								i, mergedOrder[i], refOrder[i])
-						}
-					}
+				return sorted[i].shard < sorted[j].shard
+			})
+			forKinds(t, func(t *testing.T, kind core.Kind) {
+				merged, _ := oracleMerged(t, kind, sdp, shards, trace)
+				requireSameIDs(t, merged, oracleDirect(t, kind, sdp, sorted))
+				if kind != core.KindWTP {
 					return
 				}
-
-				// Quantized stamps: the (stamp, class) service sequences
-				// must agree at every position — the merge may only permute
-				// IDs inside equal-stamp equal-class groups.
-				for i := range refOrder {
-					ri, mi := info[refOrder[i]], info[mergedOrder[i]]
-					if ri != mi {
-						t.Fatalf("service %d: merged served (arr=%g class=%d), single-queue served (arr=%g class=%d)",
-							i, mi.arrival, mi.class, ri.arrival, ri.class)
+				unsorted := oracleDirect(t, kind, sdp, trace)
+				for i := range unsorted {
+					m, r := trace[merged[i]-1], trace[unsorted[i]-1]
+					if m.at != r.at || m.class != r.class {
+						t.Fatalf("service %d: merged served (arr=%g class=%d), unsorted reference served (arr=%g class=%d)",
+							i, m.at, m.class, r.at, r.class)
 					}
 				}
-				// Measure the resulting ID-level inversion error.
-				refPos := make(map[uint64]int, n)
-				for i, id := range refOrder {
-					refPos[id] = i
+			})
+		})
+
+		t.Run(fmt.Sprintf("shards=%d/lagged", shards), func(t *testing.T) {
+			trace := oracleTrace(shards, false)
+			for i := range trace {
+				if trace[i].shard == shards-1 {
+					trace[i].pub += oracleSvcGap
 				}
-				inversions := 0
-				for i := 0; i < n; i++ {
-					for j := i + 1; j < n; j++ {
-						if refPos[mergedOrder[i]] > refPos[mergedOrder[j]] {
+			}
+			byPub := append([]oracleArrival(nil), trace...)
+			sort.SliceStable(byPub, func(i, j int) bool { return byPub[i].pub < byPub[j].pub })
+			forKinds(t, func(t *testing.T, kind core.Kind) {
+				merged, visible := oracleMerged(t, kind, sdp, shards, byPub)
+				perClass := make([][]oracleArrival, len(sdp))
+				for _, id := range merged {
+					a := trace[id-1]
+					perClass[a.class] = append(perClass[a.class], a)
+				}
+				inversions, margin := 0, 0.0
+				for _, served := range perClass {
+					for i, a := range served {
+						for _, b := range served[i+1:] {
+							if b.at >= a.at {
+								continue
+							}
 							inversions++
+							margin = math.Max(margin, a.at-b.at)
+							if !(visible[a.id] < visible[b.id] && a.at < b.pub) {
+								t.Fatalf("packet %d (stamp %g, visible %g) overtook older packet %d (stamp %g, published %g, visible %g) outside its lag",
+									a.id, a.at, visible[a.id], b.id, b.at, b.pub, visible[b.id])
+							}
 						}
 					}
 				}
-				t.Logf("shards=%d: service sequence exact; %d ID-level inversions over %d packets from equal-stamp groups",
-					shards, inversions, n)
+				if shards > 1 && inversions == 0 {
+					t.Fatal("lagged shard produced no inversions: the case exercises nothing")
+				}
+				t.Logf("shards=%d %s: %d same-class inversions over %d packets, largest overtaking margin %.3g s (publication lag %.3g s)",
+					shards, kind, inversions, len(merged), margin, oracleSvcGap)
 			})
-		}
+		})
 	}
 }
 
@@ -367,7 +454,7 @@ func TestIngressProcessBatchAllocs(t *testing.T) {
 			f.queued--
 			f.classQueued[p.Class]--
 			f.statMu.Unlock()
-			f.recycle(0, p)
+			f.recycle(p)
 		}
 	}
 	nowT := time.Now()
@@ -389,21 +476,13 @@ func TestIngressProcessBatchAllocs(t *testing.T) {
 // trusted-header slots for alloc and throughput measurement.
 func newBareIngress(t testing.TB, batch int) (*Forwarder, *ingressShard, []recvSlot) {
 	t.Helper()
-	sdp := []float64{1, 2, 4, 8}
-	f := newBareShardedForwarder(t, 1, sdp)
-	f.cfg = Config{MaxPackets: 512}.withDefaults()
-	f.epoch = time.Now()
-	f.telem = telemetry.NewWithSDP(sdp)
-	f.classQueued = make([]int, len(sdp))
-	f.shardStats = make([]ShardStats, 1)
-	sh := newIngressShard(f, 0, &batchConn{})
-	f.shards = []*ingressShard{sh}
+	f := newBareForwarder(t, core.KindWTP, 1, []float64{1, 2, 4, 8})
 	slots := make([]recvSlot, batch)
 	for i := range slots {
 		dg := Header{Class: uint8(i % 4), Seq: uint64(i), SentAt: time.Now()}.Encode(nil)
 		slots[i].buf = append(dg, make([]byte, 100)...)
 	}
-	return f, sh, slots
+	return f, f.shards[0], slots
 }
 
 func BenchmarkIngressProcessBatch(b *testing.B) {
@@ -418,7 +497,7 @@ func BenchmarkIngressProcessBatch(b *testing.B) {
 			f.queued--
 			f.classQueued[p.Class]--
 			f.statMu.Unlock()
-			f.recycle(0, p)
+			f.recycle(p)
 		}
 	}
 	nowT := time.Now()
@@ -431,94 +510,6 @@ func BenchmarkIngressProcessBatch(b *testing.B) {
 		drain()
 	}
 	b.ReportMetric(float64(b.N*len(slots))/b.Elapsed().Seconds(), "packets/sec")
-}
-
-// End-to-end throughput over loopback at an effectively unpaced rate:
-// measures the full sharded data plane (batched receive, merge, batched
-// egress) in packets per second.
-func BenchmarkForwarderThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer sink.Close()
-			go func() {
-				buf := make([]byte, 2048)
-				for {
-					if _, _, err := sink.ReadFromUDP(buf); err != nil {
-						return
-					}
-				}
-			}()
-			fwd, err := Listen(Config{
-				Listen:     "127.0.0.1:0",
-				Forward:    sink.LocalAddr().String(),
-				RateBps:    1e12, // never the bottleneck
-				MaxPackets: 4096,
-				Shards:     shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer fwd.Close()
-			conn, err := net.DialUDP("udp", nil, fwd.LocalAddr().(*net.UDPAddr))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			bc, err := newBatchConn(conn, defaultIOBatch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dg := Header{Class: 1, SentAt: time.Now()}.Encode(nil)
-			dg = append(dg, make([]byte, 100)...)
-			payloads := make([][]byte, defaultIOBatch)
-			for i := range payloads {
-				payloads[i] = dg
-			}
-			b.ResetTimer()
-			sent := 0
-			for sent < b.N {
-				k := b.N - sent
-				if k > len(payloads) {
-					k = len(payloads)
-				}
-				n, err := bc.WriteBatch(payloads[:k])
-				if err != nil {
-					b.Fatal(err)
-				}
-				sent += n
-			}
-			// Wait for ingress to quiesce: blasting an unpaced loopback
-			// socket overflows kernel buffers, so some datagrams never
-			// arrive — a plateau in Received, not Received == b.N, is the
-			// end of the measurement.
-			deadline := time.Now().Add(10 * time.Second)
-			var last uint64
-			lastChange := time.Now()
-			for time.Now().Before(deadline) {
-				st := fwd.Stats()
-				if st.Received >= uint64(b.N) {
-					break
-				}
-				if st.Received != last {
-					last = st.Received
-					lastChange = time.Now()
-				} else if time.Since(lastChange) > 250*time.Millisecond {
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
-			b.StopTimer()
-			st := fwd.Stats()
-			b.ReportMetric(float64(st.Received)/b.Elapsed().Seconds(), "packets/sec")
-			if st.Received == 0 {
-				b.Fatal("forwarder received nothing")
-			}
-		})
-	}
 }
 
 // Multi-shard sockets join one REUSEPORT group: same port, N sockets —

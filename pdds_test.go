@@ -148,8 +148,12 @@ func TestForwarderFacade(t *testing.T) {
 	if time.Since(sentAt) > time.Minute || time.Since(sentAt) < 0 {
 		t.Fatalf("timestamp implausible: %v", sentAt)
 	}
-	if st := fwd.Stats(); st.Forwarded != 1 {
-		t.Fatalf("stats = %+v", st)
+	// The transmitter counts a datagram just after writing it, so the sink
+	// can hold it before the counters do.
+	for deadline := time.Now().Add(5 * time.Second); fwd.Stats().Forwarded != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v", fwd.Stats())
+		}
 	}
 	if _, _, _, _, err := DecodeDatagram([]byte{1}); err == nil {
 		t.Fatal("short datagram accepted")
