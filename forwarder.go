@@ -200,7 +200,12 @@ func (f *Forwarder) ClassStats() []LiveClassStats {
 	if reg == nil {
 		return nil
 	}
-	snap := reg.Snapshot()
+	return liveClassStats(reg.Snapshot())
+}
+
+// liveClassStats maps a registry snapshot onto the facade's per-class
+// view.
+func liveClassStats(snap telemetry.Snapshot) []LiveClassStats {
 	out := make([]LiveClassStats, len(snap.Classes))
 	for i, c := range snap.Classes {
 		out[i] = LiveClassStats{

@@ -30,7 +30,7 @@ func benchKeys(n int) []FlowKey {
 
 // BenchmarkFlowTableLookup1M measures a hit against a table holding one
 // million resident flows — the ISSUE's committed scale target. Must stay
-// at 0 allocs/op (gated by pdbench -threshold).
+// at 0 allocs/op (pinned by TestFlowTableLookupAllocs).
 func BenchmarkFlowTableLookup1M(b *testing.B) {
 	const resident = 1 << 20
 	ft := NewFlowTable(FlowTableConfig{MaxFlows: 1 << 21})

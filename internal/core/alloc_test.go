@@ -35,7 +35,7 @@ func warmCycle(tb testing.TB, sched Scheduler) []*Packet {
 }
 
 func TestSchedulerHotPathZeroAllocs(t *testing.T) {
-	for _, kind := range []Kind{KindWTP, KindBPR, KindFCFS, KindDRR, KindWFQ, KindIWRR, KindPF} {
+	for _, kind := range Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			sched, err := New(kind, []float64{1, 2, 4, 8}, 441.0/11.2)

@@ -47,8 +47,8 @@ var Quick = Scale{
 	StudyBWarmup:      20,
 }
 
-// Bench is the smallest scale, used by the testing.B benchmarks so each
-// iteration stays sub-second.
+// Bench is the smallest scale (`pdexp -scale bench`): every experiment
+// finishes in well under a second.
 var Bench = Scale{
 	Seeds:             1,
 	Horizon:           5e4,

@@ -26,10 +26,11 @@ func checkDrainedConservation(t *testing.T, st Stats) {
 	checkConservation(t, st, nil)
 }
 
-// Sharded end-to-end conservation: multiple source ports (flows) blast a
-// sharded forwarder, including malformed datagrams; every datagram must be
-// accounted exactly once at 1, 2, and 8 shards, shard counters must fold
-// to the aggregate, and the drain must leave nothing queued.
+// Sharded end-to-end conservation: multiple source ports (flows) drive a
+// sharded forwarder closed loop, including malformed datagrams; every
+// datagram must be accounted exactly once at 1, 2, and 8 shards, shard
+// counters must fold to the aggregate, and the drain must leave nothing
+// queued.
 func TestForwarderShardedConservation(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -61,6 +62,13 @@ func TestForwarderShardedConservation(t *testing.T) {
 			defer fwd.Close()
 
 			const flows, perFlow = 4, 400
+			// Closed loop: the senders together stay at most window
+			// datagrams ahead of what the forwarder has read, so the
+			// kernel socket buffer never overflows however slowly the
+			// (race-built) forwarder reads and Received is exact.
+			const window = 64
+			var sent atomic.Uint64
+			stall := time.Now().Add(10 * time.Second)
 			var wg sync.WaitGroup
 			for fl := 0; fl < flows; fl++ {
 				wg.Add(1)
@@ -73,15 +81,20 @@ func TestForwarderShardedConservation(t *testing.T) {
 					}
 					defer conn.Close()
 					for i := 0; i < perFlow; i++ {
+						for sent.Load() > fwd.Stats().Received+window {
+							if time.Now().After(stall) {
+								t.Errorf("flow %d: forwarder stopped reading: %+v", fl, fwd.Stats())
+								return
+							}
+							time.Sleep(100 * time.Microsecond)
+						}
 						if i%100 == 99 { // a sprinkle of undecodable datagrams
 							conn.Write([]byte{0xBA, 0xD0})
 						} else {
 							dg := Header{Class: uint8(i % 4), Seq: uint64(i), SentAt: time.Now()}.Encode(nil)
 							conn.Write(append(dg, make([]byte, 80)...))
 						}
-						if i%50 == 49 {
-							time.Sleep(time.Millisecond)
-						}
+						sent.Add(1)
 					}
 				}(fl)
 			}

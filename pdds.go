@@ -60,6 +60,11 @@ const (
 	Strict   SchedulerKind = "strict"   // strict prioritization
 	WFQ      SchedulerKind = "wfq"      // static-weight fair queueing
 	Additive SchedulerKind = "additive" // additive differentiation (Eq. 3)
+	PAD      SchedulerKind = "pad"      // proportional average delay (§7 follow-up)
+	HPD      SchedulerKind = "hpd"      // hybrid WTP/PAD (§7 follow-up)
+	DRR      SchedulerKind = "drr"      // deficit round robin
+	IWRR     SchedulerKind = "iwrr"     // interleaved weighted round robin
+	PF       SchedulerKind = "pf"       // EWMA proportional fair
 )
 
 // SchedulerKinds lists every supported kind.

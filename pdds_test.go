@@ -62,6 +62,21 @@ func TestSimulateLinkKindsAndErrors(t *testing.T) {
 	}
 }
 
+// TestSchedulerKindConstants holds the exported constants to core.Kinds():
+// a kind added there without a constant here (or the reverse) fails.
+func TestSchedulerKindConstants(t *testing.T) {
+	consts := []SchedulerKind{WTP, BPR, FCFS, Strict, WFQ, Additive, PAD, HPD, DRR, IWRR, PF}
+	kinds := SchedulerKinds()
+	if len(consts) != len(kinds) {
+		t.Fatalf("%d constants for %d kinds", len(consts), len(kinds))
+	}
+	for i, k := range kinds {
+		if consts[i] != k {
+			t.Errorf("kind %d is %q, constant is %q", i, k, consts[i])
+		}
+	}
+}
+
 func TestSimulateLinkPoisson(t *testing.T) {
 	rep, err := SimulateLink(LinkConfig{
 		Poisson: true,

@@ -13,8 +13,8 @@ import (
 // HTTP endpoint (/metrics JSON, /metrics?format=text, /debug/pprof/).
 //
 // The record path is allocation-free, so telemetry can stay attached to
-// hot simulation loops; the overhead is measured by
-// BenchmarkTelemetryOverhead.
+// hot simulation loops; the overhead is the telemetry.record_ns row of
+// `go run ./bench -trace 1`.
 type Telemetry struct {
 	reg *telemetry.Registry
 	srv *telemetry.Server
@@ -29,27 +29,7 @@ func NewTelemetry(sdp []float64) *Telemetry {
 
 // Classes returns the current per-class snapshot (index 0 = lowest
 // class).
-func (t *Telemetry) Classes() []LiveClassStats {
-	snap := t.reg.Snapshot()
-	out := make([]LiveClassStats, len(snap.Classes))
-	for i, c := range snap.Classes {
-		out[i] = LiveClassStats{
-			Class:        c.Class,
-			Arrivals:     c.Arrivals,
-			Departures:   c.Departures,
-			Drops:        c.Drops,
-			Backlog:      c.Backlog(),
-			DelayMean:    c.Delay.Mean(),
-			DelayP50:     c.Delay.Quantile(0.50),
-			DelayP95:     c.Delay.Quantile(0.95),
-			DelayP99:     c.Delay.Quantile(0.99),
-			DelayMax:     c.Delay.Max,
-			ArrivedBytes: c.ArrivedBytes,
-			SentBytes:    c.DepartedBytes,
-		}
-	}
-	return out
-}
+func (t *Telemetry) Classes() []LiveClassStats { return liveClassStats(t.reg.Snapshot()) }
 
 // Ratios returns the observed adjacent-class mean-delay ratios (class i
 // over class i+1). Entries are 0 until both classes have departures.
