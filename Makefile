@@ -35,7 +35,7 @@ test:
 # stamp merge all run under the race detector at every shard count.
 # The whole-tree pass runs one package at a time (-p 1): two race-built
 # packages sharing this host's 2 CPUs push cmd/pdload's TestRunCLI past
-# its ±2% pacing tolerance. The durable fix is ROADMAP item 3's virtual
+# its ±2% pacing tolerance. The durable fix is ROADMAP item 1's virtual
 # clock, which takes wall time out of that test.
 race:
 	$(GO) test -race -run TestForEachRaceStress -count=5 ./internal/experiments/
@@ -102,7 +102,7 @@ fuzz:
 
 # Short fuzzing passes over the scheduler data structures: the fifo ring,
 # the WTP selection scan, the live retune seam, and the calendar queue vs
-# the binary heap.
+# the engine's heap.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDeque -fuzztime 10s ./internal/core/
 	$(GO) test -fuzz FuzzWTPScan -fuzztime 10s ./internal/core/

@@ -194,8 +194,8 @@ type Opts struct {
 	// Checker always run).
 	Observers []Observer
 	// CalendarQueue backs the engine with the calendar queue instead of
-	// the binary heap; results must be bit-identical (and the golden
-	// tests verify they are).
+	// the heap; results must be bit-identical (and the golden tests
+	// verify they are).
 	CalendarQueue bool
 	// TraceWriter, if set, receives the compact deterministic event trace
 	// of the run (see WriteTrace for the format).

@@ -46,9 +46,11 @@ type RunConfig struct {
 	MaxPackets int
 	Dropper    core.DropPolicy
 	// CalendarQueue backs the engine with the calendar queue instead of
-	// the binary heap. The two structures are order-equivalent, so
-	// results are bit-identical; the calendar is faster for large
-	// pending-event sets.
+	// the heap. The two structures are order-equivalent, so results are
+	// bit-identical; a link keeps ~5 events pending, where the calendar
+	// as engine measured 56 % fewer simulated packets per second (10 %
+	// fewer at the ~80 of an 8-hop path), so it is for equivalence
+	// tests, not speed.
 	CalendarQueue bool
 	// Telemetry, if set, is attached to the link for live per-class
 	// observability (counters, delay histograms, streaming ratios).

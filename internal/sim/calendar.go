@@ -8,7 +8,7 @@ import "math"
 // resizes and re-estimates its bucket width from the live event spacing as
 // the population grows and shrinks.
 //
-// It implements the same ordering contract as the binary heap — strict
+// It implements the same ordering contract as the heap — strict
 // (Time, insertion-sequence) order — and is property-tested against it.
 type calendarQueue struct {
 	buckets [][]*Event

@@ -1,8 +1,13 @@
 // Package sim implements a minimal deterministic discrete-event simulation
 // engine: a simulation clock and a time-ordered event queue with stable
 // (insertion-order) tie-breaking. Two interchangeable event structures are
-// provided — a binary heap (default) and a Brown-style calendar queue —
-// with identical ordering semantics.
+// provided, with identical ordering semantics: a binary heap with inline
+// keys whose Pop leaves the root for the next Push to fill (NewEngine, what
+// every experiment runs on) and a Brown-style calendar queue
+// (NewEngineCalendar). The calendar wins a hold model with thousands of
+// pending events; as the engine under the paper's workloads it measured
+// 56 % fewer simulated packets per second than the heap at ~5 pending
+// events (one link) and 10 % fewer at ~80 (the 8-hop Study-B path).
 //
 // The engine is single-threaded by design. Determinism matters more than
 // parallelism for reproducing the paper's experiments: two runs with the
@@ -10,7 +15,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -36,8 +40,11 @@ type Event struct {
 	fn  func(arg any)
 	arg any
 
-	seq   uint64 // insertion sequence, breaks Time ties FIFO
-	index int    // heap index, or 0 if queued in a calendar; -1 once out
+	seq uint64 // insertion sequence, breaks Time ties FIFO
+	// index is the event's slot in the heap's entry slice (heapQueue.h), or
+	// 0 if queued in a calendar; -1 once out. The heap rewrites it whenever
+	// it moves the entry, and Remove trusts it only if h[index] is this event.
+	index int
 }
 
 // Canceled reports whether Cancel was called on the event (or it already
@@ -68,8 +75,8 @@ type Engine struct {
 	free []*Event
 }
 
-// NewEngine returns an engine backed by a binary heap, with the clock at
-// zero and no pending events.
+// NewEngine returns an engine backed by the heap, with the clock at zero
+// and no pending events.
 func NewEngine() *Engine {
 	return &Engine{queue: &heapQueue{}}
 }
@@ -241,67 +248,134 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// heapQueue adapts the binary heap to the eventQueue interface.
-type heapQueue struct {
-	h eventHeap
+// heapEntry is one slot of the heap. The key is stored inline so a
+// comparison reads the slice only, never the event node.
+type heapEntry struct {
+	t   float64
+	seq uint64
+	ev  *Event
 }
 
-func (q *heapQueue) Push(ev *Event) { heap.Push(&q.h, ev) }
+func (a heapEntry) before(b heapEntry) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
+
+// heapQueue is a binary min-heap on (Time, seq). Pop hands out the root and
+// leaves its slot vacant: nearly every handler schedules exactly one
+// successor, so the Push that follows drops it into the vacant root and
+// sifts down — usually a level or two — where a classic pop would sift a
+// far-future leaf all the way down and the push sift up again. Every other
+// operation first settles the vacancy the classic way. The zero value is an
+// empty queue.
+type heapQueue struct {
+	h      []heapEntry
+	vacant bool // h[0] is the hole the last Pop left
+}
+
+func (q *heapQueue) Push(ev *Event) {
+	e := heapEntry{t: ev.Time, seq: ev.seq, ev: ev}
+	if q.vacant {
+		q.vacant = false
+		q.siftDown(0, e)
+		return
+	}
+	q.h = append(q.h, heapEntry{})
+	q.siftUp(len(q.h)-1, e)
+}
 
 func (q *heapQueue) Pop() *Event {
+	q.settle()
 	if len(q.h) == 0 {
 		return nil
 	}
-	return heap.Pop(&q.h).(*Event)
+	ev := q.h[0].ev
+	ev.index = -1
+	q.vacant = true
+	return ev
 }
 
 func (q *heapQueue) Peek() *Event {
+	q.settle()
 	if len(q.h) == 0 {
 		return nil
 	}
-	return q.h[0]
+	return q.h[0].ev
 }
 
 func (q *heapQueue) Remove(ev *Event) bool {
-	if ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index] != ev {
+	q.settle()
+	if ev.index < 0 || ev.index >= len(q.h) || q.h[ev.index].ev != ev {
 		return false
 	}
-	heap.Remove(&q.h, ev.index)
+	q.fill(ev.index)
+	ev.index = -1
 	return true
 }
 
-func (q *heapQueue) Len() int { return len(q.h) }
+func (q *heapQueue) Len() int {
+	q.settle()
+	return len(q.h)
+}
 
-// eventHeap is a min-heap on (Time, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].Time != h[j].Time {
-		return h[i].Time < h[j].Time
+// settle closes the hole a Pop left at the root, if no Push filled it.
+func (q *heapQueue) settle() {
+	if q.vacant {
+		q.vacant = false
+		q.fill(0)
 	}
-	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// fill closes the hole at i with the last leaf, as a classic heap removal
+// does.
+func (q *heapQueue) fill(i int) {
+	n := len(q.h) - 1
+	last := q.h[n]
+	q.h[n] = heapEntry{}
+	q.h = q.h[:n]
+	if i == n {
+		return // the hole was the last leaf
+	}
+	if i > 0 && last.before(q.h[(i-1)/2]) {
+		q.siftUp(i, last)
+	} else {
+		q.siftDown(i, last)
+	}
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// siftUp places e at or above the hole at i.
+func (q *heapQueue) siftUp(i int, e heapEntry) {
+	h := q.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = e
+	e.ev.index = i
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// siftDown places e at or below the hole at i.
+func (q *heapQueue) siftDown(i int, e heapEntry) {
+	h := q.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].ev.index = i
+		i = c
+	}
+	h[i] = e
+	e.ev.index = i
 }

@@ -180,3 +180,169 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 		e.Step()
 	}
 }
+
+// reentrantRig drives an engine and a sorted-slice reference of its pending
+// set through the same schedule and cancel calls.
+type reentrantRig struct {
+	t       *testing.T
+	e       *Engine
+	ref     []refEvent // pending, sorted by (at, seq)
+	handles map[uint64]*Event
+	nextSeq uint64
+	fired   int
+}
+
+type refEvent struct {
+	at  float64
+	seq uint64
+}
+
+// schedule adds an event to both sides. When it fires it must be the
+// reference's earliest, and then runs body.
+func (r *reentrantRig) schedule(at float64, body func()) uint64 {
+	seq := r.nextSeq
+	r.nextSeq++
+	ev := r.e.At(at, func() {
+		r.fired++
+		if len(r.ref) == 0 || r.ref[0] != (refEvent{r.e.Now(), seq}) {
+			r.t.Fatalf("firing %d is (t=%g seq=%d), reference pending %v", r.fired, r.e.Now(), seq, r.ref)
+		}
+		r.ref = r.ref[1:]
+		delete(r.handles, seq)
+		if body != nil {
+			body()
+		}
+	})
+	if ev.seq != seq {
+		r.t.Fatalf("engine assigned seq %d, rig expected %d", ev.seq, seq)
+	}
+	r.handles[seq] = ev
+	r.ref = append(r.ref, refEvent{at, seq})
+	sort.Slice(r.ref, func(i, j int) bool {
+		a, b := r.ref[i], r.ref[j]
+		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	})
+	return seq
+}
+
+// cancel removes the i-th earliest pending event from both sides.
+func (r *reentrantRig) cancel(i int) {
+	if i >= len(r.ref) {
+		return
+	}
+	seq := r.ref[i].seq
+	r.ref = append(r.ref[:i], r.ref[i+1:]...)
+	r.e.Cancel(r.handles[seq])
+	delete(r.handles, seq)
+}
+
+func (r *reentrantRig) cancelSeq(seq uint64) {
+	for i, p := range r.ref {
+		if p.seq == seq {
+			r.cancel(i)
+			return
+		}
+	}
+	r.t.Fatalf("seq %d is not pending", seq)
+}
+
+func (r *reentrantRig) checkPending() {
+	if got := r.e.Pending(); got != len(r.ref) {
+		r.t.Fatalf("after %d firings Pending() = %d, reference holds %d", r.fired, got, len(r.ref))
+	}
+}
+
+// Handlers run between the heap's Pop and whatever queue call comes next,
+// which is the window in which its root is vacant. Whatever a handler does
+// there, both backends must fire the same (Time, seq) sequence as a sorted
+// slice. Only the cases that say so read Pending() inside a handler: the
+// reading itself closes the window.
+func TestEngineReentrantHandlers(t *testing.T) {
+	cases := []struct {
+		name string
+		act  func(r *reentrantRig)
+	}{
+		{"schedules nothing", func(r *reentrantRig) {}},
+		{"schedules one earlier than everything pending", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+0.25, nil)
+		}},
+		{"schedules one at now", func(r *reentrantRig) {
+			r.schedule(r.e.Now(), nil)
+		}},
+		{"schedules one later than everything pending", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+100, nil)
+		}},
+		{"schedules three", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+2.5, nil)
+			r.schedule(r.e.Now()+0.25, nil)
+			r.schedule(r.e.Now()+100, nil)
+		}},
+		{"cancels the earliest pending, then schedules", func(r *reentrantRig) {
+			r.cancel(0)
+			r.schedule(r.e.Now()+0.25, nil)
+		}},
+		{"cancels a middle pending, then schedules", func(r *reentrantRig) {
+			r.cancel(len(r.ref) / 2)
+			r.schedule(r.e.Now()+0.25, nil)
+		}},
+		{"schedules, then cancels the earliest other", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+0.25, nil)
+			r.cancel(1)
+		}},
+		{"schedules, then cancels the latest pending", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+0.25, nil)
+			r.cancel(len(r.ref) - 1)
+		}},
+		{"only cancels", func(r *reentrantRig) {
+			r.cancel(len(r.ref) / 2)
+		}},
+		{"reads Pending before and after scheduling", func(r *reentrantRig) {
+			r.checkPending()
+			r.schedule(r.e.Now()+0.25, nil)
+			r.checkPending()
+		}},
+		{"reads Pending after scheduling", func(r *reentrantRig) {
+			r.schedule(r.e.Now()+0.25, nil)
+			r.checkPending()
+		}},
+		{"cancels the event it just scheduled", func(r *reentrantRig) {
+			r.cancelSeq(r.schedule(r.e.Now()+0.25, nil))
+			r.checkPending()
+		}},
+	}
+	engines := []struct {
+		name string
+		mk   func() *Engine
+	}{{"heap", NewEngine}, {"calendar", NewEngineCalendar}}
+	drivers := []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"RunUntil", func(e *Engine) { e.RunUntil(1e6) }}, // Peek between events
+		{"RunAll", (*Engine).RunAll},                      // Pop straight after Pop
+	}
+	for _, tc := range cases {
+		for _, eng := range engines {
+			for _, drv := range drivers {
+				t.Run(tc.name+"/"+eng.name+"/"+drv.name, func(t *testing.T) {
+					r := &reentrantRig{t: t, e: eng.mk(), handles: map[uint64]*Event{}}
+					// Bystanders on a grid with a tie, deep enough for three
+					// heap levels; the handler under test runs first, in the
+					// middle, and last, when the queue is otherwise empty.
+					for _, at := range []float64{3, 9, 1, 7, 12, 7, 2, 11, 4, 8, 6, 10} {
+						r.schedule(at, nil)
+					}
+					for _, at := range []float64{0, 5, 5, 20} {
+						r.schedule(at, func() { tc.act(r) })
+					}
+					r.checkPending()
+					drv.run(r.e)
+					r.checkPending()
+					if len(r.ref) != 0 {
+						t.Fatalf("%d firings, reference still holds %v", r.fired, r.ref)
+					}
+				})
+			}
+		}
+	}
+}
