@@ -35,8 +35,10 @@ test:
 # stamp merge all run under the race detector at every shard count.
 # The whole-tree pass runs one package at a time (-p 1): two race-built
 # packages sharing this host's 2 CPUs push cmd/pdload's TestRunCLI past
-# its ±2% pacing tolerance. The durable fix is ROADMAP item 1's virtual
-# clock, which takes wall time out of that test.
+# its ±2% pacing tolerance. The forwarder's transmit decision is already
+# off the clock (internal/netio/pacer.go), but TestRunCLI still paces on
+# wall time; the durable fix is ROADMAP item 3's clock seam, whose
+# deliverable deletes -p 1.
 race:
 	$(GO) test -race -run TestForEachRaceStress -count=5 ./internal/experiments/
 	$(GO) test -race -run 'TestForwarder|TestIngress|TestRing' -count=3 ./internal/netio/

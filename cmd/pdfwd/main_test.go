@@ -71,6 +71,25 @@ func TestParseArgs(t *testing.T) {
 	}
 }
 
+// A negative -adapt-interval parses, but starting the forwarder must
+// refuse it with an error rather than panic in the controller goroutine.
+func TestNegativeAdaptIntervalRefused(t *testing.T) {
+	opts, err := parseArgs([]string{
+		"-listen", "127.0.0.1:0", "-forward", "127.0.0.1:9", "-adapt", "-adapt-interval=-1s",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fwd, err := pdds.StartForwarderWithConfig(opts.cfg)
+	if err == nil {
+		fwd.Close()
+		t.Fatal("negative -adapt-interval accepted")
+	}
+	if !strings.Contains(err.Error(), "ControlInterval") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
 func TestParseArgsClasses(t *testing.T) {
 	opts, err := parseArgs([]string{"-classes", "testdata/classes.conf"})
 	if err != nil {

@@ -183,12 +183,13 @@ type ShardStats struct {
 // Data plane layout: N ingress shard goroutines (Config.Shards) each read
 // batches from their own socket, classify, account admission, and publish
 // packets on a lock-free SPSC ring. The single transmit goroutine owns the
-// one scheduler: it merges the rings into it by arrival stamp (drainRings)
+// one scheduler: it merges the rings into it by arrival stamp (pacer.admit)
 // and calls Dequeue — so the scheduler sees the arrival sequence a
 // single-socket forwarder would, and every discipline's service order is
-// preserved across shards without any queue lock. Counter transactions take
-// statMu, held for whole batches at ingress and whole egress batches at
-// transmit.
+// preserved across shards without any queue lock. That decision lives in
+// the clock-free pacer; transmitLoop is the shell that sleeps and writes.
+// Counter transactions take statMu, held for whole batches at ingress and
+// whole egress batches at transmit.
 //
 // Telemetry ordering contract: for every datagram the registry sees the
 // Arrival strictly before the matching Departure or Drop (both are
@@ -200,7 +201,6 @@ type Forwarder struct {
 	conns      []*net.UDPConn // shard ingress sockets; conns[0] is canonical
 	shared     bool           // REUSEPORT unavailable: all shards read conns[0]
 	dst        *net.UDPAddr
-	rate       float64 // bytes per second
 	epoch      time.Time
 	telem      *telemetry.Registry
 	metrics    *telemetry.Server
@@ -219,9 +219,10 @@ type Forwarder struct {
 
 	shards []*ingressShard
 
-	// sched is owned by the transmit goroutine (and by Close's final
-	// sweep, which runs strictly after it exits).
-	sched core.Scheduler
+	// pace, with the one scheduler inside it, is owned by the transmit
+	// goroutine (and by Close's final sweep, which runs strictly after it
+	// exits).
+	pace *pacer
 
 	wake    chan struct{} // 1-buffered ingress→transmit doorbell
 	closeCh chan struct{} // closed once by Close
@@ -245,7 +246,7 @@ type Forwarder struct {
 	queued      int
 	classQueued []int
 	closing     bool
-	drainBy     time.Time // drain deadline; valid once closing is set
+	drainBy     float64 // drain deadline on the epoch; valid once closing is set
 	stats       Stats
 	shardStats  []ShardStats
 	idSeq       uint64
@@ -271,6 +272,12 @@ func Listen(cfg Config) (*Forwarder, error) {
 	}
 	if cfg.Shards < 1 || cfg.Shards > maxShards {
 		return nil, fmt.Errorf("netio: Shards %d out of range [1,%d]", cfg.Shards, maxShards)
+	}
+	if cfg.MaxPackets < 0 {
+		return nil, fmt.Errorf("netio: MaxPackets %d must be >= 0", cfg.MaxPackets)
+	}
+	if cfg.ControlInterval < 0 {
+		return nil, fmt.Errorf("netio: ControlInterval %v must be >= 0", cfg.ControlInterval)
 	}
 	dst, err := net.ResolveUDPAddr("udp", cfg.Forward)
 	if err != nil {
@@ -318,13 +325,11 @@ func Listen(cfg Config) (*Forwarder, error) {
 		conns:       conns,
 		shared:      shared,
 		dst:         dst,
-		rate:        rate,
 		epoch:       time.Now(),
 		telem:       cfg.Telemetry,
 		numClasses:  numClasses,
 		ingressAddr: local.Addr().Unmap(),
 		ingressPort: local.Port(),
-		sched:       sched,
 		wake:        make(chan struct{}, 1),
 		closeCh:     make(chan struct{}),
 		classQueued: make([]int, numClasses),
@@ -361,6 +366,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 		f.metrics = srv
 	}
 	f.shards = make([]*ingressShard, cfg.Shards)
+	rings := make([]*spscRing, cfg.Shards)
 	for i := range f.shards {
 		conn := conns[0]
 		if !shared {
@@ -375,8 +381,10 @@ func Listen(cfg Config) (*Forwarder, error) {
 			return nil, fmt.Errorf("netio: raw ingress socket: %w", err)
 		}
 		f.shards[i] = newIngressShard(f, i, bc)
+		rings[i] = f.shards[i].xmit
 		f.shardStats[i] = ShardStats{Mode: bc.Mode(), SharedSocket: shared}
 	}
+	f.pace = newPacer(sched, rings, rate)
 	f.ingressWG.Add(len(f.shards))
 	for _, s := range f.shards {
 		go s.run()
@@ -432,7 +440,7 @@ func (f *Forwarder) ShardStats() []ShardStats {
 // the first installs simply replaces the staged vector. Safe for
 // concurrent use.
 func (f *Forwarder) Retune(params []float64) error {
-	if _, ok := f.sched.(core.Retuner); !ok {
+	if _, ok := f.pace.sched.(core.Retuner); !ok {
 		return fmt.Errorf("netio: %w", core.ErrNotRetunable)
 	}
 	if err := core.CheckRetuneParams(params, f.numClasses); err != nil {
@@ -498,7 +506,7 @@ func (f *Forwarder) maybeRetune() {
 	}
 	// Validated in Retune, so a failure here would be a programming error,
 	// not an input error.
-	if err := core.Retune(f.sched, params); err != nil {
+	if err := core.Retune(f.pace.sched, params); err != nil {
 		return
 	}
 	f.statMu.Lock()
@@ -576,7 +584,7 @@ func (f *Forwarder) beginClosingLocked() {
 		return
 	}
 	f.closing = true
-	f.drainBy = time.Now().Add(f.cfg.DrainTimeout)
+	f.drainBy = f.now() + f.cfg.DrainTimeout.Seconds()
 	if f.cfg.DrainTimeout <= 0 {
 		f.abort.Store(true)
 	}
@@ -592,7 +600,7 @@ func (f *Forwarder) noteIngressDone() {
 }
 
 // closeState snapshots the closing flag and drain deadline.
-func (f *Forwarder) closeState() (bool, time.Time) {
+func (f *Forwarder) closeState() (bool, float64) {
 	f.statMu.Lock()
 	defer f.statMu.Unlock()
 	return f.closing, f.drainBy
@@ -606,14 +614,9 @@ func (f *Forwarder) signalWake() {
 	}
 }
 
-// now returns seconds since the forwarder started; it is the time base for
-// waiting-time priorities.
+// now returns seconds since the forwarder started: the one time base for
+// pacing, service stamps and waiting-time priorities.
 func (f *Forwarder) now() float64 { return time.Since(f.epoch).Seconds() }
-
-// txTime is the virtual transmission time of size bytes at the egress rate.
-func (f *Forwarder) txTime(size int64) time.Duration {
-	return time.Duration(float64(size) / f.rate * float64(time.Second))
-}
 
 // recycle returns p to its home shard's free ring (getPacket recorded the
 // shard in p.Flow) after its terminal event. Transmit-side only (or Close's
@@ -624,149 +627,73 @@ func (f *Forwarder) recycle(p *core.Packet) {
 	f.shards[p.Flow].free.Push(p)
 }
 
-// drainRings moves every published packet from the shard rings into the
-// scheduler in arrival-stamp order. Each ring is already stamp-sorted (a
-// shard stamps and publishes its batches in order), so repeatedly taking
-// the ring head with the smallest stamp — ties to the lower shard index —
-// is an N-way merge: the scheduler sees the sequence a single ingress
-// socket would have produced. A packet published after the drain passed
-// its stamp queues behind the later-stamped packets of its class already
-// enqueued; that lag is at most one receive batch's processing time
-// (DESIGN.md §3h). Transmit-side only.
-func (f *Forwarder) drainRings() {
-	for {
-		var from *spscRing
-		var next *core.Packet
-		for _, sh := range f.shards {
-			if p := sh.xmit.Peek(); p != nil && (next == nil || p.Arrival < next.Arrival) {
-				from, next = sh.xmit, p
-			}
-		}
-		if next == nil {
-			return
-		}
-		from.advance()
-		f.sched.Enqueue(next, next.Arrival)
-	}
-}
-
+// transmitLoop is the pacer's shell: it sleeps until the wake instant, reads
+// the clock once per served packet, writes, accounts, and handles Close.
 func (f *Forwarder) transmitLoop() {
 	defer f.xmitWG.Done()
-	out, err := net.DialUDP("udp", nil, f.dst)
+	out, err := net.DialUDP("udp", nil, f.dst) // nil on error: every write fails
 	var bc *batchConn
-	if err != nil {
-		// No egress socket: every datagram fails its write and is
-		// dropped with full accounting, keeping the stats invariant.
-		out = nil
-	} else {
+	if err == nil {
 		defer out.Close()
 		bc, _ = newBatchConn(out, defaultIOBatch)
 	}
-
+	// Batch only while the pacer is behind schedule, so paced runs keep one
+	// datagram per wake-up and a fault injector sees single attempts.
+	batched := bc != nil && bc.Batched() && f.cfg.Fault == nil
 	pkts := make([]*core.Packet, 0, defaultIOBatch)
-	departs := make([]float64, 0, defaultIOBatch)
 	werrs := make([]error, defaultIOBatch)
 	payloads := make([][]byte, 0, defaultIOBatch)
-
-	// nextFree is the absolute time the virtual egress link becomes
-	// free: an absolute-clock token pacer. It advances by exactly one
-	// transmission time per datagram, so time spent in writes, dequeues
-	// or telemetry is paid out of link credit instead of stretching the
-	// schedule — the achieved rate tracks RateBps across a busy period.
-	nextFree := time.Now()
 	for {
-		// Wait for the link to be free before selecting, so
-		// waiting-time priorities are evaluated at service time.
-		f.sleepUntil(nextFree)
-
-		f.drainRings()
+		now := f.now()
+		for ; now < f.pace.wake() && !f.abort.Load(); now = f.now() {
+			time.Sleep(min(time.Duration((f.pace.wake()-now)*float64(time.Second)), maxSleepChunk))
+		}
 		f.maybeRetune()
-		wasEmpty := !f.sched.Backlogged()
-		for !f.sched.Backlogged() {
-			if closing, _ := f.closeState(); closing {
-				// Nothing queued and no more arrivals: drained.
-				return
+		closing, drainBy := f.closeState()
+		if closing && now >= drainBy {
+			f.discardAll()
+			return
+		}
+		p := f.pace.serve(now)
+		if p == nil {
+			if closing {
+				return // nothing queued and no more arrivals: drained
 			}
 			select {
 			case <-f.wake:
 			case <-f.closeCh:
 			}
-			f.drainRings()
-			f.maybeRetune()
+			continue
 		}
-		if closing, drainBy := f.closeState(); closing && !time.Now().Before(drainBy) {
-			f.discardAll()
-			return
-		}
-
-		depart := f.now()
-		p := f.sched.Dequeue(depart)
-
-		if wasEmpty {
-			// The link sat idle: restart the pacer clock so unused
-			// idle time does not become a line-rate burst. Credit
-			// accumulates only within a busy period.
-			if now := time.Now(); nextFree.Before(now) {
-				nextFree = now
-			}
-		}
-
 		pkts = append(pkts[:0], p)
-		departs = append(departs[:0], depart)
-		nextFree = nextFree.Add(f.txTime(p.Size))
-
-		// Egress batching: extend the batch only while the pacer is
-		// already behind schedule — each added packet's service time has
-		// passed too — so paced runs keep the classic
-		// one-datagram-per-wakeup path (batch == 1, per-datagram write
-		// and retry), every packet keeps its own depart stamp, and a
-		// fault injector always sees single attempts.
-		if bc != nil && bc.Batched() && f.cfg.Fault == nil {
-			for len(pkts) < defaultIOBatch && nextFree.Before(time.Now()) {
-				f.drainRings()
-				if !f.sched.Backlogged() {
-					break
-				}
-				d := f.now()
-				q := f.sched.Dequeue(d)
-				pkts = append(pkts, q)
-				departs = append(departs, d)
-				nextFree = nextFree.Add(f.txTime(q.Size))
-			}
+		for now = f.now(); batched && len(pkts) < defaultIOBatch && f.pace.extend(now); now = f.now() {
+			pkts = append(pkts, f.pace.take(now))
 		}
-
-		if len(pkts) == 1 {
-			werrs[0] = f.write(out, pkts[0].Payload)
-		} else {
-			// sendmmsg sends a prefix and stops at the first failing
-			// datagram; route that one through the classic per-datagram
-			// retry path and resume batching after it.
-			i := 0
-			for i < len(pkts) {
+		// sendmmsg sends a prefix and stops at the first failing datagram;
+		// that one takes the per-datagram retry path, then batching resumes.
+		for i := 0; i < len(pkts); {
+			n, werr := 0, error(nil)
+			if len(pkts) > 1 {
 				payloads = payloads[:0]
 				for _, q := range pkts[i:] {
 					payloads = append(payloads, q.Payload)
 				}
-				n, werr := bc.WriteBatch(payloads)
-				for j := 0; j < n; j++ {
-					werrs[i+j] = nil
-				}
-				i += n
-				if i < len(pkts) && (werr != nil || n == 0) {
-					werrs[i] = f.write(out, pkts[i].Payload)
-					i++
-				}
+				n, werr = bc.WriteBatch(payloads)
+				clear(werrs[i : i+n])
+			}
+			if i += n; i < len(pkts) && (werr != nil || n == 0) {
+				werrs[i] = f.write(out, pkts[i].Payload)
+				i++
 			}
 		}
-
 		f.statMu.Lock()
 		for i, q := range pkts {
 			if werrs[i] == nil {
 				f.stats.Forwarded++
-				f.telem.Departure(q.Class, q.Size, departs[i], departs[i]-q.Arrival)
+				f.telem.Departure(q.Class, q.Size, q.Start, q.Wait())
 			} else {
 				f.stats.Dropped++
-				f.telem.Drop(q.Class, f.now())
+				f.telem.Drop(q.Class, q.Start)
 			}
 			f.queued--
 			f.classQueued[q.Class]--
@@ -786,11 +713,9 @@ func (f *Forwarder) transmitLoop() {
 // final sweep that catches packets a shard published after the
 // transmitter's last look).
 func (f *Forwarder) discardAll() {
-	f.drainRings()
 	now := f.now()
 	f.statMu.Lock()
-	for f.sched.Backlogged() {
-		p := f.sched.Dequeue(now)
+	for p := f.pace.serve(now); p != nil; p = f.pace.serve(now) {
 		f.stats.Dropped++
 		f.telem.Drop(p.Class, now)
 		f.queued--
@@ -798,22 +723,6 @@ func (f *Forwarder) discardAll() {
 		f.recycle(p)
 	}
 	f.statMu.Unlock()
-}
-
-// sleepUntil sleeps until t in bounded chunks, returning early when the
-// forwarder aborts (Close dropping the backlog), so shutdown is never
-// stuck behind a long low-rate pacing gap.
-func (f *Forwarder) sleepUntil(t time.Time) {
-	for !f.abort.Load() {
-		d := time.Until(t)
-		if d <= 0 {
-			return
-		}
-		if d > maxSleepChunk {
-			d = maxSleepChunk
-		}
-		time.Sleep(d)
-	}
 }
 
 // errNoEgress reports that the egress socket could not be dialed.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pdds/internal/control"
 	"pdds/internal/core"
 )
 
@@ -62,6 +63,13 @@ func TestListenValidation(t *testing.T) {
 	}
 	if _, err := Listen(Config{Listen: "not-an-addr", Forward: "127.0.0.1:9", RateBps: 1e6}); err == nil {
 		t.Fatal("bad listen addr accepted")
+	}
+	if _, err := Listen(Config{Listen: "127.0.0.1:0", Forward: "127.0.0.1:9", RateBps: 1e6, MaxPackets: -1}); err == nil {
+		t.Fatal("negative MaxPackets accepted")
+	}
+	if _, err := Listen(Config{Listen: "127.0.0.1:0", Forward: "127.0.0.1:9", RateBps: 1e6,
+		Control: &control.Config{}, ControlInterval: -time.Second}); err == nil {
+		t.Fatal("negative ControlInterval accepted")
 	}
 }
 

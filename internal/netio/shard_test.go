@@ -212,12 +212,14 @@ func flowShard(flow, shards int) int {
 	return int(uint32(flow)*2654435761) % shards
 }
 
-// newBareForwarder assembles the data-plane state — the scheduler, the
-// shards and their rings, the accounting tables — without sockets or
-// goroutines, for oracle and alloc tests.
+// newBareForwarder assembles the data-plane state — the pacer with its
+// scheduler, the shards and their rings, the accounting tables — without
+// sockets or goroutines, for oracle and alloc tests. The link serves one
+// oracle packet per oracleSvcGap.
 func newBareForwarder(t testing.TB, kind core.Kind, shards int, sdp []float64) *Forwarder {
 	t.Helper()
-	sched, err := core.New(kind, sdp, 1e6)
+	const rate = oracleSize / oracleSvcGap
+	sched, err := core.New(kind, sdp, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,33 +228,39 @@ func newBareForwarder(t testing.TB, kind core.Kind, shards int, sdp []float64) *
 		epoch:       time.Now(),
 		telem:       telemetry.NewWithSDP(sdp),
 		numClasses:  len(sdp),
-		sched:       sched,
 		classQueued: make([]int, len(sdp)),
 		shardStats:  make([]ShardStats, shards),
 	}
-	for i := 0; i < shards; i++ {
+	rings := make([]*spscRing, shards)
+	for i := range rings {
 		f.shards = append(f.shards, newIngressShard(f, i, &batchConn{}))
+		rings[i] = f.shards[i].xmit
 	}
+	f.pace = newPacer(sched, rings, rate)
 	return f
 }
 
-// oracleArrival is one packet of the ordering oracle's recorded trace.
+// oracleArrival is one packet of a recorded arrival trace.
 type oracleArrival struct {
 	at    float64 // arrival stamp (what the shard writes into Packet.Arrival)
 	pub   float64 // when the shard publishes it on its ring (>= at)
 	class int
 	shard int
 	id    uint64
+	size  int64
 }
 
 func (a oracleArrival) packet() *core.Packet {
-	return &core.Packet{ID: a.id, Class: a.class, Size: 100, Arrival: a.at}
+	return &core.Packet{ID: a.id, Class: a.class, Size: a.size, Arrival: a.at}
 }
 
-// oracleSvcGap is the oracle's service period, slightly longer than the
-// trace's mean inter-arrival time (1 ms) so a backlog builds and the
-// disciplines' priorities actually compete.
-const oracleSvcGap = 0.0015
+// oracleSize and oracleSvcGap make the oracle's service period slightly
+// longer than the trace's mean inter-arrival time (1 ms), so a backlog
+// builds and the disciplines' priorities actually compete.
+const (
+	oracleSize   = 100
+	oracleSvcGap = 0.0015
+)
 
 // oracleTrace returns a seeded arrival trace with nondecreasing stamps.
 // With quantized stamps whole groups share one stamp, as a receive batch's
@@ -273,68 +281,90 @@ func oracleTrace(shards int, quantized bool) []oracleArrival {
 			class: rng.Intn(4),
 			shard: flowShard(rng.Intn(64), shards),
 			id:    uint64(i + 1),
+			size:  oracleSize,
 		}
 	}
 	return trace
 }
 
-// oracleReplay is the oracle's link harness. It hands each packet of trace
-// (sorted by pub) to offer at the first service instant at or after its
-// publication, calls drain, and serves one packet per oracleSvcGap while
-// sched is backlogged, jumping idle gaps. Work conservation makes the
-// service instants a function of the trace alone, so two replays of one
-// trace serve at identical instants whatever feeds sched. It returns the
-// served IDs in order and the instant each packet was offered.
-func oracleReplay(trace []oracleArrival, sched core.Scheduler, offer func(oracleArrival), drain func()) (order []uint64, visible map[uint64]float64) {
-	order = make([]uint64, 0, len(trace))
-	visible = make(map[uint64]float64, len(trace))
-	ti, svcAt := 0, 0.0
-	for len(order) < len(trace) {
-		for ti < len(trace) && trace[ti].pub <= svcAt {
-			offer(trace[ti])
-			visible[trace[ti].id] = svcAt
-			ti++
+// pacerDeparture is one packet the pacer served, with its service stamp.
+type pacerDeparture struct {
+	id uint64
+	at float64
+}
+
+// drivePacer steps c as transmitLoop does, on a virtual clock. At each wake
+// instant t it publishes every arrival of trace (sorted by pub) with
+// pub <= t, then calls serve(t). After a departure the next wake is
+// c.wake() plus late(), or t itself when the shell is already behind (the
+// egress batch); when nothing is queued it is the next publication plus
+// late(). It returns the departures in service order.
+func drivePacer(c *pacer, trace []oracleArrival, publish func(a oracleArrival, t float64), late func() float64) []pacerDeparture {
+	out := make([]pacerDeparture, 0, len(trace))
+	ti, t := 0, 0.0
+	for len(out) < len(trace) {
+		for ; ti < len(trace) && trace[ti].pub <= t; ti++ {
+			publish(trace[ti], t)
 		}
-		drain()
-		if !sched.Backlogged() {
-			svcAt = trace[ti].pub // idle: jump to the next publication
+		p := c.serve(t)
+		if p == nil {
+			t = trace[ti].pub + late()
 			continue
 		}
-		order = append(order, sched.Dequeue(svcAt).ID)
-		svcAt += oracleSvcGap
+		out = append(out, pacerDeparture{p.ID, p.Start})
+		if w := c.wake(); w > t {
+			t = w + late()
+		}
 	}
-	return order, visible
+	return out
 }
 
-// oracleDirect replays trace into a fresh scheduler fed directly, in trace
-// order: the single-socket reference.
+// servedIDs is the ID sequence of a pacer's departures.
+func servedIDs(ds []pacerDeparture) []uint64 {
+	ids := make([]uint64, len(ds))
+	for i, d := range ds {
+		ids[i] = d.id
+	}
+	return ids
+}
+
+func onTime() float64 { return 0 }
+
+// oracleDirect replays trace (sorted by pub) into a bare forwarder's
+// scheduler fed directly, in trace order: the single-socket reference. It
+// is served on the same exact wakes as oracleMerged but bypasses the rings
+// and the pacer's merge, so it never runs the code under test.
 func oracleDirect(t *testing.T, kind core.Kind, sdp []float64, trace []oracleArrival) []uint64 {
 	t.Helper()
-	ref, err := core.New(kind, sdp, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order, _ := oracleReplay(trace, ref, func(a oracleArrival) { ref.Enqueue(a.packet(), a.at) }, func() {})
-	return order
+	f := newBareForwarder(t, kind, 1, sdp)
+	return servedIDs(drivePacer(f.pace, trace, func(a oracleArrival, _ float64) {
+		f.pace.sched.Enqueue(a.packet(), a.at)
+	}, onTime))
 }
 
-// oracleMerged replays trace through the live path: each packet is pushed
-// on its shard's real xmit ring, drainRings merges the rings into the
-// forwarder's one scheduler, and Dequeue serves.
+// oracleMerged replays trace (sorted by pub) through the live path on exact
+// wakes: each packet is pushed on its shard's real xmit ring, and the pacer
+// merges the rings into the forwarder's one scheduler and serves. It
+// returns the served IDs in order and the instant each packet surfaced.
 func oracleMerged(t *testing.T, kind core.Kind, sdp []float64, shards int, trace []oracleArrival) (order []uint64, visible map[uint64]float64) {
 	t.Helper()
 	f := newBareForwarder(t, kind, shards, sdp)
-	return oracleReplay(trace, f.sched, func(a oracleArrival) {
+	visible = make(map[uint64]float64, len(trace))
+	publish := func(a oracleArrival, at float64) {
 		if !f.shards[a.shard].xmit.Push(a.packet()) {
 			t.Fatalf("shard %d ring full offering packet %d", a.shard, a.id)
 		}
-	}, f.drainRings)
+		visible[a.id] = at
+	}
+	return servedIDs(drivePacer(f.pace, trace, publish, onTime)), visible
 }
 
 // The ordering oracle (stamp-merge correctness, DESIGN.md §3h): replay a
-// recorded arrival trace through real shard rings → drainRings → the one
-// scheduler, for every discipline at 1, 2 and 8 shards, against the same
-// discipline fed directly and served at the same instants.
+// recorded arrival trace through real shard rings → the production pacer's
+// merge → the one scheduler, for every discipline at 1, 2 and 8 shards,
+// against the same discipline fed through one ring in trace order. Both
+// are served at the same instants: work conservation makes them a
+// function of the trace alone.
 //
 //   - distinct: with distinct arrival stamps the merge reconstructs the
 //     trace order, so the served ID sequence must be EXACTLY the
