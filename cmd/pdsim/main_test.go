@@ -61,3 +61,23 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
+
+// Invalid SDPs and non-finite times come back from run as errors; before
+// they panicked (SDPs) or ran forever or reported nothing (times).
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	cases := [][]string{
+		{"-sdp", "2,1,4,8", "-warmup", "0", "-horizon", "1e4"},
+		{"-sdp", "0,1,4,8", "-warmup", "0", "-horizon", "1e4"},
+		{"-sched", "fcfs", "-sdp", "2,1,4,8", "-warmup", "0", "-horizon", "1e4"},
+		{"-horizon", "inf"},
+		{"-horizon", "NaN"},
+		{"-warmup", "NaN", "-horizon", "1e4"},
+		{"-warmup", "-inf", "-horizon", "1e4"},
+	}
+	for _, args := range cases {
+		var out strings.Builder
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%v) accepted:\n%s", args, out.String())
+		}
+	}
+}

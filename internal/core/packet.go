@@ -11,7 +11,10 @@
 // simulation units; packet sizes are bytes.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Packet is a packet queued at (or traversing) a scheduler. Fields beyond
 // the first four are bookkeeping filled in by the simulation harnesses.
@@ -76,4 +79,22 @@ func ValidateSDPs(sdp []float64) {
 			panic(fmt.Sprintf("core: SDPs must be nondecreasing, got %v", sdp))
 		}
 	}
+}
+
+// CheckSDPs is the error-returning check New applies before building any
+// discipline: 1 to 64 classes, every SDP finite and strictly positive, and
+// the vector nondecreasing.
+func CheckSDPs(sdp []float64) error {
+	if n := len(sdp); n < 1 || n > 64 {
+		return fmt.Errorf("core: class count %d out of range [1,64]", n)
+	}
+	for i, s := range sdp {
+		if !(s > 0) || math.IsInf(s, 1) {
+			return fmt.Errorf("core: SDP[%d]=%g must be finite and > 0", i, s)
+		}
+		if i > 0 && s < sdp[i-1] {
+			return fmt.Errorf("core: SDPs must be nondecreasing, got %v", sdp)
+		}
+	}
+	return nil
 }

@@ -44,22 +44,13 @@ func Retune(s Scheduler, params []float64) error {
 	return fmt.Errorf("%w (%s)", ErrNotRetunable, s.Name())
 }
 
-// CheckRetuneParams is the non-panicking counterpart of ValidateSDPs used
-// by the retune seam: params must have exactly n entries, every entry
-// finite and strictly positive, and the vector nondecreasing.
+// CheckRetuneParams is CheckSDPs for the retune seam: params must also
+// have exactly n entries.
 func CheckRetuneParams(params []float64, n int) error {
 	if len(params) != n {
 		return fmt.Errorf("core: retune got %d params for %d classes", len(params), n)
 	}
-	for i, v := range params {
-		if !(v > 0) || math.IsInf(v, 1) {
-			return fmt.Errorf("core: retune param[%d]=%g must be finite and > 0", i, v)
-		}
-		if i > 0 && v < params[i-1] {
-			return fmt.Errorf("core: retune params must be nondecreasing, got %v", params)
-		}
-	}
-	return nil
+	return CheckSDPs(params)
 }
 
 // Retune implements Retuner: the SDP vector is replaced; queued packets

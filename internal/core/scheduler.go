@@ -56,8 +56,12 @@ func Kinds() []Kind {
 // the paper's scheduler differentiation parameters; WFQ uses it as the
 // per-class service weights; FCFS and strict priority only use its length.
 // rate is the output link rate in bytes per time unit (needed by BPR to
-// split service among backlogged queues; ignored by the others).
+// split service among backlogged queues; ignored by the others). Invalid
+// SDPs (see CheckSDPs) are an error, whatever the kind.
 func New(kind Kind, sdp []float64, rate float64) (Scheduler, error) {
+	if err := CheckSDPs(sdp); err != nil {
+		return nil, err
+	}
 	switch kind {
 	case KindWTP:
 		return NewWTP(sdp), nil

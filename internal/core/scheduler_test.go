@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -53,6 +54,46 @@ func TestValidateSDPs(t *testing.T) {
 		}()
 	}
 	ValidateSDPs([]float64{1, 1, 2}) // nondecreasing is allowed
+}
+
+// New refuses invalid SDPs with an error for every kind, FCFS and strict
+// priority included, instead of letting a constructor panic.
+func TestNewRejectsInvalidSDPs(t *testing.T) {
+	cases := []struct {
+		name string
+		sdp  []float64
+	}{
+		{"none", nil},
+		{"empty", []float64{}},
+		{"zero", []float64{0, 1, 4, 8}},
+		{"negative", []float64{-1, 2}},
+		{"decreasing", []float64{2, 1, 4, 8}},
+		{"NaN", []float64{1, math.NaN()}},
+		{"infinite", []float64{1, math.Inf(1)}},
+		{"65 classes", make65()},
+	}
+	for _, tc := range cases {
+		if err := CheckSDPs(tc.sdp); err == nil {
+			t.Errorf("CheckSDPs(%s) accepted", tc.name)
+		}
+		for _, k := range Kinds() {
+			if s, err := New(k, tc.sdp, 39.375); err == nil || s != nil {
+				t.Errorf("New(%q, %s) = %v, %v; want an error", k, tc.name, s, err)
+			}
+		}
+	}
+	if err := CheckSDPs([]float64{1, 1, 2}); err != nil {
+		t.Errorf("nondecreasing SDPs rejected: %v", err)
+	}
+}
+
+// make65 returns 65 equal SDPs, one class past the limit.
+func make65() []float64 {
+	sdp := make([]float64, 65)
+	for i := range sdp {
+		sdp[i] = 1
+	}
+	return sdp
 }
 
 func TestFCFSOrder(t *testing.T) {

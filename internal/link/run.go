@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"math"
 
 	"pdds/internal/core"
 	"pdds/internal/sim"
@@ -45,13 +46,6 @@ type RunConfig struct {
 	// zero/nil reproduces the paper's lossless model.
 	MaxPackets int
 	Dropper    core.DropPolicy
-	// CalendarQueue backs the engine with the calendar queue instead of
-	// the heap. The two structures are order-equivalent, so results are
-	// bit-identical; a link keeps ~5 events pending, where the calendar
-	// as engine measured 56 % fewer simulated packets per second (10 %
-	// fewer at the ~80 of an 8-hop path), so it is for equivalence
-	// tests, not speed.
-	CalendarQueue bool
 	// Telemetry, if set, is attached to the link for live per-class
 	// observability (counters, delay histograms, streaming ratios).
 	Telemetry *telemetry.Registry
@@ -74,10 +68,10 @@ func (c *RunConfig) Validate() error {
 	if len(cc.SDP) != len(cc.Load.Fractions) {
 		return fmt.Errorf("link: %d SDPs but %d class fractions", len(cc.SDP), len(cc.Load.Fractions))
 	}
-	if !(cc.Horizon > 0) {
-		return fmt.Errorf("link: horizon %g must be > 0", cc.Horizon)
+	if !(cc.Horizon > 0) || math.IsInf(cc.Horizon, 1) {
+		return fmt.Errorf("link: horizon %g must be finite and > 0", cc.Horizon)
 	}
-	if cc.Warmup < 0 || cc.Warmup >= cc.Horizon {
+	if !(cc.Warmup >= 0) || cc.Warmup >= cc.Horizon {
 		return fmt.Errorf("link: warmup %g outside [0, horizon)", cc.Warmup)
 	}
 	return cc.Load.Validate()
@@ -101,7 +95,10 @@ type Result struct {
 // MeanDelayPUnits returns class i's mean delay in p-units.
 func (r *Result) MeanDelayPUnits(i int) float64 { return r.Delays.Mean(i) / PUnit }
 
-// Run executes one single-link simulation and returns its statistics.
+// Run executes one single-link simulation and returns its statistics. A
+// run that repeats the previous run's load, link rate, horizon and seed
+// replays that run's recorded arrivals instead of drawing them again (see
+// traffic.Feed); the results are bit-identical either way.
 func Run(cfg RunConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,9 +129,6 @@ func RunWithScheduler(sched core.Scheduler, cfg RunConfig) (*Result, error) {
 
 func runWith(sched core.Scheduler, cfg RunConfig) (*Result, error) {
 	engine := sim.NewEngine()
-	if cfg.CalendarQueue {
-		engine = sim.NewEngineCalendar()
-	}
 	l := New(engine, cfg.LinkRate, sched)
 	l.MaxPackets = cfg.MaxPackets
 	l.Dropper = cfg.Dropper
@@ -154,20 +148,14 @@ func runWith(sched core.Scheduler, cfg RunConfig) (*Result, error) {
 		}
 	}
 
-	sources, err := cfg.Load.Build(cfg.LinkRate, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range sources {
-		s.Pool = pool
-	}
 	var generated uint64
-	traffic.StartAll(engine, sources, func(p *core.Packet) {
+	err := traffic.Feed(engine, cfg.Load, cfg.LinkRate, cfg.Horizon, cfg.Seed, pool, func(p *core.Packet) {
 		generated++
 		l.Arrive(p)
 	})
-
-	engine.RunUntil(cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
 
 	return &Result{
 		Delays:        delays,

@@ -1,0 +1,315 @@
+package traffic
+
+import (
+	"math/rand/v2"
+	"slices"
+	"sync"
+
+	"pdds/internal/core"
+	"pdds/internal/sim"
+)
+
+// memoCap bounds the arrivals one memo entry holds, summed over its
+// classes: at 12 bytes an arrival, 12 MiB. A run that draws more finishes
+// live and is not memoised.
+const memoCap = 1 << 20
+
+// memo is the process-wide arrival memo behind Feed: one entry, the
+// arrivals of the last completed run that could be recorded. An entry is
+// read-only from its publication until the memo has dropped it and the last
+// run replaying it is done; only then are its buffers recycled, as spare,
+// for the next recording.
+var memo struct {
+	mu    sync.Mutex
+	entry *memoEntry
+	spare []stream
+}
+
+// memoEntry is one recorded workload: the key it was drawn from and, per
+// class, every arrival up to the horizon.
+type memoEntry struct {
+	key     memoKey
+	streams []stream
+	readers int // runs replaying the entry, guarded by memo.mu
+}
+
+// memoKey is everything a run's arrivals depend on. fractions is a private
+// copy and sizes is one of the package's immutable size types.
+type memoKey struct {
+	rho, alpha        float64
+	poisson           bool
+	fractions         []float64
+	sizes             SizeDist
+	linkRate, horizon float64
+	seed              uint64
+}
+
+// stream is one class's recorded arrivals, absolute times and sizes at
+// 12 bytes an arrival, and the ID base StartAll gave its source.
+type stream struct {
+	idBase uint64
+	times  []float64
+	sizes  []int32
+}
+
+// matches reports whether k is the key of load on a link of linkRate for a
+// run to horizon from seed. It allocates nothing.
+func (k *memoKey) matches(load *LoadSpec, linkRate, horizon float64, seed uint64) bool {
+	return k.seed == seed && k.horizon == horizon && k.linkRate == linkRate &&
+		k.rho == load.Rho && k.alpha == load.Alpha && k.poisson == load.Poisson &&
+		slices.Equal(k.fractions, load.Fractions) && sameSizes(k.sizes, load.Sizes)
+}
+
+// memoisable reports whether sizes is a type whose contents cannot change
+// after construction, so a key may hold it, and whose sizes fit a stream's
+// 4 bytes.
+func memoisable(sizes SizeDist) bool {
+	switch d := sizes.(type) {
+	case FixedSize:
+		return d.Bytes == int64(int32(d.Bytes))
+	case Discrete:
+		for _, b := range d.sizes {
+			if b != int64(int32(b)) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// sameSizes reports whether two memoisable size distributions draw the
+// same sizes with the same probabilities and mean.
+func sameSizes(a, b SizeDist) bool {
+	switch a := a.(type) {
+	case FixedSize:
+		b, ok := b.(FixedSize)
+		return ok && a == b
+	case Discrete:
+		b, ok := b.(Discrete)
+		return ok && a.mean == b.mean && slices.Equal(a.sizes, b.sizes) && slices.Equal(a.cum, b.cum)
+	}
+	return false
+}
+
+// Feed delivers load's arrivals on a link of linkRate bytes per time unit
+// into sink, drawing packets from pool (nil allocates), and runs engine to
+// horizon. The arrivals, their packet IDs and their event order are those
+// of Build(linkRate, seed) started with StartAll, bit for bit. A run that
+// repeats the previous recorded run's (load, linkRate, horizon, seed)
+// replays that run's arrivals instead of drawing them again; any other run
+// draws live and, if its sizes are memoisable, records its arrivals while
+// they fit memoCap. engine must be at time zero.
+func Feed(engine *sim.Engine, load LoadSpec, linkRate, horizon float64, seed uint64, pool *core.PacketPool, sink Sink) error {
+	if err := load.Validate(); err != nil {
+		return err
+	}
+	if engine.Now() != 0 {
+		panic("traffic: Feed needs an engine at time zero")
+	}
+	feeders := make([]feeder, len(load.Fractions))
+	if e := acquire(&load, linkRate, horizon, seed); e != nil {
+		for class, s := range e.streams {
+			feeders[class] = feeder{engine: engine, sink: sink, pool: pool, class: class, s: s}
+			if len(s.times) > 0 {
+				engine.AtFunc(s.times[0], feedEmit, &feeders[class])
+			}
+		}
+		engine.RunUntil(horizon)
+		e.release()
+		return nil
+	}
+
+	// The sources Build makes, in its order: one per class with a
+	// nonzero rate.
+	var sources int
+	for class, lambda := range load.Rates(linkRate) {
+		if lambda == 0 {
+			continue
+		}
+		sources++
+		feeders[class] = feeder{engine: engine, sink: sink, pool: pool, class: class,
+			inter: load.Inter(lambda), sizes: load.Sizes, rng: classRNG(seed, class),
+			s: stream{idBase: uint64(sources) << 40}}
+	}
+	var rec *recording
+	if memoisable(load.Sizes) {
+		rec = record(feeders, horizon)
+	}
+	for i := range feeders {
+		if f := &feeders[i]; f.rng != nil {
+			engine.AtFunc(f.inter.Next(f.rng), feedEmit, f)
+		}
+	}
+	engine.RunUntil(horizon)
+	if rec == nil || rec.abandoned {
+		return nil
+	}
+	e := &memoEntry{
+		key: memoKey{
+			rho: load.Rho, alpha: load.Alpha, poisson: load.Poisson,
+			fractions: slices.Clone(load.Fractions),
+			sizes:     load.Sizes,
+			linkRate:  linkRate, horizon: horizon, seed: seed,
+		},
+		streams: make([]stream, len(feeders)),
+	}
+	for class, f := range feeders {
+		e.streams[class] = f.s
+	}
+	memo.mu.Lock()
+	memo.entry = e
+	memo.mu.Unlock()
+	return nil
+}
+
+// acquire returns the memo entry if it holds this key, counting the caller
+// as one of its readers until release.
+func acquire(load *LoadSpec, linkRate, horizon float64, seed uint64) *memoEntry {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	e := memo.entry
+	if e == nil || !e.key.matches(load, linkRate, horizon, seed) {
+		return nil
+	}
+	e.readers++
+	return e
+}
+
+// release ends one replay of e. The last reader of an entry the memo has
+// already dropped recycles its buffers.
+func (e *memoEntry) release() {
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	e.readers--
+	if e.readers == 0 && memo.entry != e {
+		memo.spare = e.streams
+	}
+}
+
+// recording is what a live run's feeders share while they record.
+type recording struct {
+	feeders   []feeder
+	abandoned bool
+}
+
+// record starts recording the drawing feeders: it drops the memo's entry,
+// so the old entry and its replacement never coexist, and gives each
+// feeder's stream room for its expected arrival count λ·horizon, the whole
+// scaled to fit memoCap, reusing spare buffers where they are large enough.
+// Streams grow past that room only through grow, which holds the cap.
+func record(feeders []feeder, horizon float64) *recording {
+	memo.mu.Lock()
+	if e := memo.entry; e != nil {
+		memo.entry = nil
+		if e.readers == 0 {
+			memo.spare = e.streams
+		}
+	}
+	spare := memo.spare
+	memo.spare = nil
+	memo.mu.Unlock()
+
+	r := &recording{feeders: feeders}
+	var want float64
+	for _, f := range feeders {
+		if f.rng != nil {
+			want += horizon / f.inter.Mean()
+		}
+	}
+	scale := 1.05
+	if want*scale > memoCap {
+		scale = memoCap / want
+	}
+	room := memoCap
+	for i := range feeders {
+		f := &feeders[i]
+		if f.rng == nil {
+			continue
+		}
+		f.rec = r
+		n := min(int(horizon/f.inter.Mean()*scale)+16, room)
+		room -= n
+		if c := f.class; c < len(spare) && cap(spare[c].times) >= n {
+			f.s.times, f.s.sizes = spare[c].times[:0], spare[c].sizes[:0]
+		} else {
+			f.s.times, f.s.sizes = make([]float64, 0, n), make([]int32, 0, n)
+		}
+	}
+	return r
+}
+
+// grow makes room for more arrivals in f's stream, at most what memoCap
+// leaves, or abandons the recording once the cap is reached.
+func (r *recording) grow(f *feeder) bool {
+	total := 0
+	for i := range r.feeders {
+		total += len(r.feeders[i].s.times)
+	}
+	n := len(f.s.times)
+	room := min(n+16, memoCap-total)
+	if room <= 0 {
+		r.abandon()
+		return false
+	}
+	times, sizes := make([]float64, n, n+room), make([]int32, n, n+room)
+	copy(times, f.s.times)
+	copy(sizes, f.s.sizes)
+	f.s.times, f.s.sizes = times, sizes
+	return true
+}
+
+// abandon stops recording; the run goes on drawing live.
+func (r *recording) abandon() {
+	r.abandoned = true
+	for i := range r.feeders {
+		f := &r.feeders[i]
+		f.rec = nil
+		f.s.times, f.s.sizes = nil, nil
+	}
+}
+
+// feeder emits one class's arrivals through a single chained event, as
+// Source does: each emission schedules the next after the sink returns.
+// With an rng it draws them exactly as Source does, recording into s while
+// rec is set; without one it replays s.
+type feeder struct {
+	engine *sim.Engine
+	sink   Sink
+	pool   *core.PacketPool
+	class  int
+	s      stream
+	k      int // arrivals emitted so far
+	inter  Interarrival
+	sizes  SizeDist
+	rng    *rand.Rand
+	rec    *recording
+}
+
+// feedEmit is the shared closure-free event body for feeders.
+func feedEmit(arg any) { arg.(*feeder).emit() }
+
+func (f *feeder) emit() {
+	now := f.engine.Now()
+	f.k++
+	p := f.pool.Get()
+	p.ID = f.s.idBase + uint64(f.k)
+	p.Class = f.class
+	p.Arrival = now
+	p.Birth = now
+	if f.rng == nil {
+		p.Size = int64(f.s.sizes[f.k-1])
+		f.sink(p)
+		if f.k < len(f.s.times) {
+			f.engine.AtFunc(f.s.times[f.k], feedEmit, f)
+		}
+		return
+	}
+	p.Size = f.sizes.Next(f.rng)
+	if f.rec != nil && (len(f.s.times) < cap(f.s.times) || f.rec.grow(f)) {
+		f.s.times = append(f.s.times, now)
+		f.s.sizes = append(f.s.sizes, int32(p.Size))
+	}
+	f.sink(p)
+	f.engine.AtFunc(now+f.inter.Next(f.rng), feedEmit, f)
+}

@@ -208,17 +208,21 @@ func (l LoadSpec) Build(linkRate float64, seed uint64) ([]*Source, error) {
 		if lambda == 0 {
 			continue
 		}
-		inter := l.Inter(lambda)
 		sources = append(sources, &Source{
 			Class: class,
-			Inter: inter,
+			Inter: l.Inter(lambda),
 			Sizes: l.Sizes,
-			// Distinct second-seed per class keeps streams
-			// independent but reproducible.
-			RNG: NewRNG(seed, 0x9e3779b9+uint64(class)),
+			RNG:   classRNG(seed, class),
 		})
 	}
 	return sources, nil
+}
+
+// classRNG is the generator of class's source in a load drawn from seed.
+// A distinct second seed per class keeps the streams independent but
+// reproducible.
+func classRNG(seed uint64, class int) *rand.Rand {
+	return NewRNG(seed, 0x9e3779b9+uint64(class))
 }
 
 // StartAll starts every source on the engine with non-overlapping ID bases.
