@@ -68,7 +68,7 @@ experiments-quick:
 # Scheduler invariant oracles, differential tests and golden traces
 # (see TESTING.md). Verbose so each scheduler/scenario pair is visible.
 conformance:
-	$(GO) test -v -run 'TestConformance|TestGolden|TestHeapCalendar|TestBPRTracks' ./internal/conformance/
+	$(GO) test -v -run 'TestConformance|TestGolden|TestBPRTracks' ./internal/conformance/
 
 # Analytic delay-bound certification (the third verification axis, see
 # TESTING.md): every seeded scenario's realized worst-case per-class

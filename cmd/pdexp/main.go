@@ -69,7 +69,7 @@ func main() {
 		expList  = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(allExperiments, ",")+" or all")
 		scaleStr = flag.String("scale", "full", "run scale: full|quick|bench")
 		outDir   = flag.String("out", "", "write one file per experiment into this directory instead of stdout")
-		plot     = flag.Bool("plot", false, "append a terminal plot to fig1a/fig1b/moderate output (re-runs the experiment; deterministic)")
+		plot     = flag.Bool("plot", false, "append a terminal plot to fig1a/fig1b/moderate output")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "max simulation runs executing concurrently (results are identical at any value)")
 	)
 	flag.Parse()
@@ -119,13 +119,8 @@ func main() {
 			file = f
 			out = f
 		}
-		if err := run(name, scale, out); err != nil {
+		if err := run(name, scale, out, *plot); err != nil {
 			log.Fatalf("%s: %v", name, err)
-		}
-		if *plot {
-			if err := renderPlot(name, scale, out); err != nil {
-				log.Fatalf("%s plot: %v", name, err)
-			}
 		}
 		if file != nil {
 			if err := file.Close(); err != nil {
@@ -173,20 +168,26 @@ func writeReport(path string, report runReport) error {
 	return f.Close()
 }
 
-func run(name string, scale experiments.Scale, out io.Writer) error {
+func run(name string, scale experiments.Scale, out io.Writer, plot bool) error {
 	switch name {
-	case "fig1a":
-		points, err := experiments.Fig1(experiments.PaperSDPx2, scale)
+	case "fig1a", "fig1b":
+		sdp, target := experiments.PaperSDPx2, 2.0
+		if name == "fig1b" {
+			sdp, target = experiments.PaperSDPx4, 4.0
+		}
+		points, err := experiments.Fig1(sdp, scale)
 		if err != nil {
 			return err
 		}
-		return experiments.WriteFig1TSV(out, points, 2)
-	case "fig1b":
-		points, err := experiments.Fig1(experiments.PaperSDPx4, scale)
-		if err != nil {
+		if err := experiments.WriteFig1TSV(out, points, target); err != nil || !plot {
 			return err
 		}
-		return experiments.WriteFig1TSV(out, points, 4)
+		ratios := make([]ratioPoint, len(points))
+		for i, pt := range points {
+			ratios[i] = ratioPoint{pt.Scheduler, pt.Rho, pt.Ratios}
+		}
+		return renderPlot(out, "mean successive-class delay ratio vs utilization",
+			[]core.Kind{core.KindWTP, core.KindBPR}, ratios)
 	case "fig2a":
 		points, err := experiments.Fig2(experiments.PaperSDPx2, scale)
 		if err != nil {
@@ -247,7 +248,15 @@ func run(name string, scale experiments.Scale, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return experiments.WriteModerateTSV(out, points)
+		if err := experiments.WriteModerateTSV(out, points); err != nil || !plot {
+			return err
+		}
+		ratios := make([]ratioPoint, len(points))
+		for i, pt := range points {
+			ratios[i] = ratioPoint{pt.Scheduler, pt.Rho, pt.Ratios}
+		}
+		return renderPlot(out, "mean ratio vs utilization: proportional schedulers (target 2)",
+			experiments.ModerateSchedulers, ratios)
 	case "pathsched":
 		points, err := experiments.PathSched(scale)
 		if err != nil {
@@ -271,51 +280,29 @@ func run(name string, scale experiments.Scale, out io.Writer) error {
 	}
 }
 
-// renderPlot appends a terminal plot for the experiments that have a
-// natural ratio-vs-utilization view.
-func renderPlot(name string, scale experiments.Scale, out io.Writer) error {
-	mean := func(v []float64) float64 {
+// ratioPoint is one scheduler's successive-class delay ratios at one
+// utilization.
+type ratioPoint struct {
+	kind   core.Kind
+	rho    float64
+	ratios []float64
+}
+
+// renderPlot appends a terminal plot of the mean successive-class delay
+// ratio against utilization, one series per kind, marked by its initial.
+func renderPlot(out io.Writer, title string, kinds []core.Kind, points []ratioPoint) error {
+	bySched := map[core.Kind][]textplot.Point{}
+	for _, pt := range points {
 		var sum float64
-		for _, x := range v {
-			sum += x
+		for _, r := range pt.ratios {
+			sum += r
 		}
-		return sum / float64(len(v))
+		bySched[pt.kind] = append(bySched[pt.kind],
+			textplot.Point{X: pt.rho, Y: sum / float64(len(pt.ratios))})
 	}
-	var p textplot.Plot
-	switch name {
-	case "fig1a", "fig1b":
-		sdp := experiments.PaperSDPx2
-		if name == "fig1b" {
-			sdp = experiments.PaperSDPx4
-		}
-		points, err := experiments.Fig1(sdp, scale)
-		if err != nil {
-			return err
-		}
-		p.Title = "mean successive-class delay ratio vs utilization"
-		bySched := map[core.Kind][]textplot.Point{}
-		for _, pt := range points {
-			bySched[pt.Scheduler] = append(bySched[pt.Scheduler],
-				textplot.Point{X: pt.Rho, Y: mean(pt.Ratios)})
-		}
-		p.Add(textplot.Series{Name: "wtp", Marker: 'w', Points: bySched[core.KindWTP]})
-		p.Add(textplot.Series{Name: "bpr", Marker: 'b', Points: bySched[core.KindBPR]})
-	case "moderate":
-		points, err := experiments.Moderate(scale)
-		if err != nil {
-			return err
-		}
-		p.Title = "mean ratio vs utilization: proportional schedulers (target 2)"
-		bySched := map[core.Kind][]textplot.Point{}
-		for _, pt := range points {
-			bySched[pt.Scheduler] = append(bySched[pt.Scheduler],
-				textplot.Point{X: pt.Rho, Y: mean(pt.Ratios)})
-		}
-		for _, kind := range experiments.ModerateSchedulers {
-			p.Add(textplot.Series{Name: string(kind), Marker: rune(kind[0]), Points: bySched[kind]})
-		}
-	default:
-		return nil // no plot for this experiment
+	p := textplot.Plot{Title: title}
+	for _, kind := range kinds {
+		p.Add(textplot.Series{Name: string(kind), Marker: rune(kind[0]), Points: bySched[kind]})
 	}
 	rendered, err := p.Render()
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"pdds/internal/core"
 	"pdds/internal/experiments"
 )
 
@@ -25,7 +26,7 @@ var tiny = experiments.Scale{
 func TestRunKnownExperiments(t *testing.T) {
 	for _, name := range allExperiments {
 		var buf bytes.Buffer
-		if err := run(name, tiny, &buf); err != nil {
+		if err := run(name, tiny, &buf, false); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out := buf.String()
@@ -40,7 +41,7 @@ func TestRunKnownExperiments(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run("nope", tiny, &buf); err == nil {
+	if err := run("nope", tiny, &buf, false); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -72,20 +73,44 @@ func TestWriteReportRoundTrips(t *testing.T) {
 }
 
 func TestRenderPlot(t *testing.T) {
-	for _, name := range []string{"fig1a", "moderate"} {
-		var buf bytes.Buffer
-		if err := renderPlot(name, tiny, &buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(buf.String(), "utilization") {
-			t.Fatalf("%s: plot missing axis title", name)
-		}
+	points := []ratioPoint{
+		{core.KindWTP, 0.8, []float64{1.5, 1.7}},
+		{core.KindBPR, 0.8, []float64{1.9, 2.1}},
+		{core.KindWTP, 0.9, []float64{1.8, 2}},
+		{core.KindBPR, 0.9, []float64{2, 2}},
 	}
 	var buf bytes.Buffer
-	if err := renderPlot("table1", tiny, &buf); err != nil {
+	if err := renderPlot(&buf, "ratio vs utilization", []core.Kind{core.KindWTP, core.KindBPR}, points); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() != 0 {
-		t.Fatal("plot rendered for unsupported experiment")
+	for _, want := range []string{"ratio vs utilization", "wtp", "bpr"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("plot missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// -plot appends a plot to the table run wrote, from the same points, and
+// leaves experiments without a plot untouched.
+func TestRunPlot(t *testing.T) {
+	for _, name := range []string{"fig1a", "moderate", "fig4"} {
+		var table, plotted bytes.Buffer
+		if err := run(name, tiny, &table, false); err != nil {
+			t.Fatal(err)
+		}
+		experiments.ResetCounters()
+		if err := run(name, tiny, &plotted, true); err != nil {
+			t.Fatal(err)
+		}
+		rest, ok := strings.CutPrefix(plotted.String(), table.String())
+		if !ok {
+			t.Fatalf("%s: -plot changed the table", name)
+		}
+		if hasPlot := strings.Contains(rest, "utilization"); hasPlot != (name != "fig4") {
+			t.Fatalf("%s: plot appended = %v:\n%s", name, hasPlot, rest)
+		}
+		if runs := experiments.RunCount(); name == "fig1a" && runs != uint64(len(experiments.Utilizations)*2*tiny.Seeds) {
+			t.Fatalf("%s: -plot made %d runs", name, runs)
+		}
 	}
 }

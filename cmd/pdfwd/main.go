@@ -200,11 +200,7 @@ func main() {
 	log.Printf("forwarding %s -> %s at %.0f bps with %s (SDP %v)",
 		fwd.Addr(), opts.cfg.Forward, opts.cfg.RateBps, opts.cfg.Scheduler, sdp)
 	if ss := fwd.ShardStats(); len(ss) > 1 {
-		note := ""
-		if ss[0].SharedSocket {
-			note = ", shared socket (no SO_REUSEPORT: flow pinning unavailable)"
-		}
-		log.Printf("ingress: %d shards, %s I/O%s", len(ss), ss[0].Mode, note)
+		log.Printf("ingress: %d shards, %s I/O", len(ss), ss[0].Mode)
 	}
 	if addr := fwd.MetricsAddr(); addr != nil {
 		log.Printf("metrics on http://%s/metrics (pprof under /debug/pprof/)", addr)

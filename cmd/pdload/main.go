@@ -92,8 +92,7 @@ type loadReport struct {
 	AchievedPps float64 `json:"achieved_pps"`
 
 	// Shards is the configured ingress shard count; ShardMode names the
-	// active receive path ("mmsg" or "datagram"), with "+shared" appended
-	// when SO_REUSEPORT was unavailable and the shards share one socket.
+	// active receive path ("mmsg" or "datagram").
 	Shards    int    `json:"shards,omitempty"`
 	ShardMode string `json:"shard_mode,omitempty"`
 
@@ -106,9 +105,8 @@ type loadReport struct {
 	// multi-flow mode every flow has a matching filter, so any nonzero
 	// value is a classification failure.
 	BadClass uint64 `json:"bad_class"`
-	// Unaccounted is Received − Forwarded − Dropped − BadHeader −
-	// BadClass − Queued; any nonzero value is an accounting bug in the
-	// forwarder.
+	// Unaccounted is the forwarder's Stats.Unaccounted; any nonzero
+	// value is an accounting bug in the forwarder.
 	Unaccounted int64  `json:"unaccounted"`
 	SinkCount   uint64 `json:"sink_count"` // datagrams delivered end to end
 	// Flows is the number of distinct sender flows (0 in classic
@@ -301,18 +299,14 @@ func soak(cfg loadConfig) (loadReport, error) {
 		Dropped:       st.Dropped,
 		BadHeader:     st.BadHeader,
 		BadClass:      st.BadClass,
-		Unaccounted: int64(st.Received) - int64(st.Forwarded) - int64(st.Dropped) -
-			int64(st.BadHeader) - int64(st.BadClass) - int64(st.Queued),
-		SinkCount:   sst.count,
-		Flows:       cfg.FlowsPerClass * cfg.Classes,
-		DelayRatios: fwd.DelayRatios(),
+		Unaccounted:   st.Unaccounted(),
+		SinkCount:     sst.count,
+		Flows:         cfg.FlowsPerClass * cfg.Classes,
+		DelayRatios:   fwd.DelayRatios(),
 	}
 	if len(shardStats) > 0 {
 		rep.Shards = len(shardStats)
 		rep.ShardMode = shardStats[0].Mode
-		if shardStats[0].SharedSocket {
-			rep.ShardMode += "+shared"
-		}
 	}
 	for _, c := range fwd.ClassStats() {
 		cr := classResult{

@@ -4,9 +4,6 @@
 // through perturbed simulations at -scale full, and judges every run's
 // invariants — exact packet conservation, packet-pool leak freedom,
 // telemetry-counter monotonicity, and per-load-regime PDD ratio windows.
-// The catalog's flow-churn plan additionally exercises a live classifier
-// flow table (synthetic flow populations retired mid-run under TTL
-// eviction) and fails on any inconsistent classification answer.
 // With -net it also drives the live UDP forwarder through the standard
 // egress fault plans (corruption, duplication, reordering, transient and
 // persistent write errors) over loopback.

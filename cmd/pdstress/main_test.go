@@ -50,7 +50,7 @@ func TestRunTextSmoke(t *testing.T) {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
 	text := out.String()
-	for _, want := range []string{"WTP", "BPR", "FCFS", "steady-heavy", "burst-train", "flow-churn", "all 27 runs ok"} {
+	for _, want := range []string{"WTP", "BPR", "FCFS", "steady-heavy", "burst-train", "all 24 runs ok"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text report missing %q:\n%s", want, text)
 		}

@@ -22,7 +22,7 @@ type Forwarder struct {
 // ForwarderStats are cumulative forwarder counters. Every received
 // datagram is accounted exactly once:
 // Received = Forwarded + Dropped + BadHeader + BadClass + Queued at any
-// snapshot, with Queued reaching 0 after Close.
+// snapshot (Unaccounted reads 0), with Queued reaching 0 after Close.
 type ForwarderStats = netio.Stats
 
 // ForwarderConfig configures StartForwarderWithConfig.

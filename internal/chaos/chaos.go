@@ -51,11 +51,6 @@ const (
 	// Size bytes, modelling an arrival train far burstier than the
 	// source model produces on its own.
 	OpBurst
-	// OpFlowChurn retires class Class's current synthetic flow
-	// population and starts a fresh generation (new 5-tuples), exercising
-	// the classifier flow table's insert/evict path mid-run. Only
-	// meaningful for plans with FlowsPerClass > 0.
-	OpFlowChurn
 )
 
 // String names the op for reports.
@@ -73,8 +68,6 @@ func (o Op) String() string {
 		return "source-on"
 	case OpBurst:
 		return "burst"
-	case OpFlowChurn:
-		return "flow-churn"
 	default:
 		return fmt.Sprintf("op(%d)", int(o))
 	}
@@ -116,7 +109,7 @@ func (a Action) validate(classes int) error {
 		if !(a.Factor > 0) {
 			return fmt.Errorf("chaos: %s factor %g must be > 0", a.Op, a.Factor)
 		}
-	case OpSourceOff, OpSourceOn, OpFlowChurn:
+	case OpSourceOff, OpSourceOn:
 		if a.Class < 0 || a.Class >= classes {
 			return fmt.Errorf("chaos: %s class %d out of range [0,%d)", a.Op, a.Class, classes)
 		}

@@ -190,7 +190,7 @@ func RunNet(plan NetPlan) (*NetResult, error) {
 
 	res := &NetResult{
 		Plan:           p.Name,
-		Conserved:      st.Queued == 0 && st.Received == st.Forwarded+st.Dropped+st.BadHeader+st.BadClass,
+		Conserved:      st.Queued == 0 && st.Unaccounted() == 0,
 		ForwardedSome:  st.Forwarded > 0,
 		AllDropped:     st.Forwarded == 0 && st.Received > 0,
 		SinkDisturbed:  sinkBad.Load() > 0 || sinkRegress.Load() > 0,

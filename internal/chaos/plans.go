@@ -16,9 +16,7 @@ import (
 // stationary heavy load (control), load steps and ramps across the
 // moderate→heavy boundary, a class-mix shift at constant total load,
 // source on/off churn, link-capacity flaps (including a transient
-// overload), packet burst trains, and classifier flow churn (synthetic
-// flow populations retired mid-run while the flow table answers under
-// TTL eviction pressure).
+// overload) and packet burst trains.
 func Plans(kind core.Kind, horizon float64, seed uint64) []SimPlan {
 	warm := 0.1 * horizon
 	flat := kind == core.KindFCFS
@@ -93,20 +91,7 @@ func Plans(kind core.Kind, horizon float64, seed uint64) []SimPlan {
 	}})
 	burst.Expect.SkipRatios = true
 
-	// flow-churn: heavy stationary traffic while a live classifier flow
-	// table resolves 64 synthetic flows per class each sample tick; each
-	// class's flow population is retired once mid-run, so old generations
-	// must age out under TTL eviction without a single wrong answer.
-	flow := std(8, "flow-churn", 0.90, Timeline{Name: "flow-gen-bumps", Actions: []Action{
-		{At: 0.3 * horizon, Op: OpFlowChurn, Class: 0},
-		{At: 0.45 * horizon, Op: OpFlowChurn, Class: 1},
-		{At: 0.6 * horizon, Op: OpFlowChurn, Class: 2},
-		{At: 0.75 * horizon, Op: OpFlowChurn, Class: 3},
-	}})
-	flow.FlowsPerClass = 64
-	flow.FlowTTL = 0.15 * horizon
-
-	return []SimPlan{steady, poisson, step, ramp, shift, churn, flap, burst, flow}
+	return []SimPlan{steady, poisson, step, ramp, shift, churn, flap, burst}
 }
 
 // NetPlans returns the standard live-forwarder fault catalog. Each plan

@@ -2,10 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
-	"pdds/internal/classify"
 	"pdds/internal/control"
 	"pdds/internal/core"
 	"pdds/internal/link"
@@ -37,15 +35,6 @@ type SimPlan struct {
 	// SamplePeriod is the telemetry monotonicity sampling period
 	// (default Horizon/200).
 	SamplePeriod float64
-	// FlowsPerClass, when > 0, runs a live classifier flow table
-	// alongside the simulation: each class gets this many synthetic
-	// flows, re-resolved at every sample tick, with OpFlowChurn timeline
-	// actions retiring a class's flow population mid-run. The table's
-	// answers are checked for consistency at every tick.
-	FlowsPerClass int
-	// FlowTTL is the flow table's idle eviction age in simulation time
-	// units (default Horizon/5; only used with FlowsPerClass > 0).
-	FlowTTL float64
 	// Control, when non-nil, closes the DDP loop during the run: a
 	// controller observes the link's telemetry every ControlInterval and
 	// retunes the scheduler through the core.Retuner seam on out-of-band
@@ -99,9 +88,6 @@ func (p SimPlan) withDefaults() SimPlan {
 	if p.Expect.SegmentWarmup < 0 {
 		p.Expect.SegmentWarmup = 0
 	}
-	if p.FlowsPerClass > 0 && p.FlowTTL == 0 {
-		p.FlowTTL = p.Horizon / 5
-	}
 	if p.Control != nil {
 		if p.ControlInterval == 0 {
 			p.ControlInterval = p.Horizon / 40
@@ -134,9 +120,6 @@ func (p SimPlan) Validate() error {
 	if err := pp.Timeline.Validate(len(pp.SDP)); err != nil {
 		return fmt.Errorf("chaos: plan %q: %w", pp.Name, err)
 	}
-	if pp.FlowsPerClass < 0 {
-		return fmt.Errorf("chaos: plan %q: flows per class %d must be >= 0", pp.Name, pp.FlowsPerClass)
-	}
 	if pp.Expect.SegmentWarmup >= 1 {
 		return fmt.Errorf("chaos: plan %q: segment warmup %g must be < 1", pp.Name, pp.Expect.SegmentWarmup)
 	}
@@ -146,13 +129,6 @@ func (p SimPlan) Validate() error {
 		}
 		if !(pp.ControlInterval > 0) || pp.ControlInterval >= pp.Horizon {
 			return fmt.Errorf("chaos: plan %q: control interval %g out of (0,horizon)", pp.Name, pp.ControlInterval)
-		}
-	}
-	if pp.FlowsPerClass == 0 {
-		for _, a := range pp.Timeline.Actions {
-			if a.Op == OpFlowChurn {
-				return fmt.Errorf("chaos: plan %q: %s action needs FlowsPerClass > 0", pp.Name, a.Op)
-			}
 		}
 	}
 	return pp.Load.Validate()
@@ -210,12 +186,6 @@ type SimResult struct {
 	// plans only).
 	ControlParams []float64 `json:"control_params,omitempty"`
 
-	// Flow-table exercise outcome (FlowsPerClass > 0 plans only).
-	FlowResident  int    `json:"flow_resident,omitempty"`
-	FlowHits      uint64 `json:"flow_hits,omitempty"`
-	FlowMisses    uint64 `json:"flow_misses,omitempty"`
-	FlowEvictions uint64 `json:"flow_evictions,omitempty"`
-
 	Violations []string `json:"violations,omitempty"`
 }
 
@@ -267,9 +237,9 @@ func newRegime(classes int) *regime {
 	return r
 }
 
-// apply folds a into the tracked load state. OpBurst and OpFlowChurn are
-// deliberately ignored: neither changes the sustained arrival-rate regime
-// a segment's ratio window is chosen from.
+// apply folds a into the tracked load state. OpBurst is deliberately
+// ignored: it does not change the sustained arrival-rate regime a
+// segment's ratio window is chosen from.
 func (r *regime) apply(a Action) {
 	switch a.Op {
 	case OpScaleLoad:
@@ -298,59 +268,6 @@ func (r *regime) rhoEff(baseRates []float64, meanSize, baseLinkRate float64) flo
 	return byteRate / (baseLinkRate * r.linkScale)
 }
 
-// flowRec drives a real classifier flow table in lockstep with the
-// simulation clock: FlowsPerClass synthetic 5-tuples per class, each
-// re-resolved at every sample tick. Every key embeds its class and
-// generation, so a lookup returning a different class than the key
-// encodes is a flow-table correctness violation, not a modelling
-// artifact. OpFlowChurn bumps a class's generation: its old keys go
-// idle and must age out of the table via TTL eviction.
-type flowRec struct {
-	engine     *sim.Engine
-	table      *classify.FlowTable
-	flows      int
-	gen        []uint32 // per-class flow generation
-	violations []string
-}
-
-// flowTimeScale converts the engine's float64 clock to the flow table's
-// integer time base with millitick resolution.
-const flowTimeScale = 1e3
-
-func (fr *flowRec) key(class, idx int) classify.FlowKey {
-	gen := fr.gen[class]
-	return classify.FlowKey{
-		Src:     netip.AddrFrom4([4]byte{10, byte(class), byte(gen >> 8), byte(gen)}),
-		Dst:     netip.AddrFrom4([4]byte{192, 0, 2, 1}),
-		SrcPort: uint16(1024 + idx),
-		DstPort: 7000,
-		Proto:   classify.ProtoUDP,
-	}
-}
-
-// flowTick resolves every live flow against the table — memoized hits
-// must return the class the key encodes, misses re-insert — then sweeps
-// expired generations.
-func flowTick(arg any) bool {
-	fr := arg.(*flowRec)
-	now := int64(fr.engine.Now() * flowTimeScale)
-	for class := range fr.gen {
-		for i := 0; i < fr.flows; i++ {
-			k := fr.key(class, i)
-			if got, ok := fr.table.Lookup(k, now); ok {
-				if got != class {
-					fr.violations = append(fr.violations, fmt.Sprintf(
-						"flow-table: key %v resolved to class %d, want %d", k, got, class))
-				}
-			} else {
-				fr.table.Insert(k, class, now)
-			}
-		}
-	}
-	fr.table.Sweep(now)
-	return true
-}
-
 // simState binds a timeline to one live run; boundAction is the
 // closure-free AtFunc argument for a scheduled action.
 type simState struct {
@@ -364,7 +281,6 @@ type simState struct {
 	pool     *core.PacketPool
 	sink     traffic.Sink
 	burstID  uint64
-	flows    *flowRec // nil unless the plan exercises the flow table
 }
 
 type boundAction struct {
@@ -409,10 +325,6 @@ func (st *simState) applyAction(a Action) {
 			p.Arrival = now
 			p.Birth = now
 			st.sink(p)
-		}
-	case OpFlowChurn:
-		if st.flows != nil {
-			st.flows.gen[a.Class]++
 		}
 	}
 }
@@ -529,17 +441,6 @@ func RunSim(plan SimPlan) (*SimResult, error) {
 	for _, s := range sources {
 		st.sources[s.Class] = s
 	}
-	if p.FlowsPerClass > 0 {
-		st.flows = &flowRec{
-			engine: engine,
-			table: classify.NewFlowTable(classify.FlowTableConfig{
-				TTL: int64(p.FlowTTL * flowTimeScale),
-			}),
-			flows: p.FlowsPerClass,
-			gen:   make([]uint32, len(p.SDP)),
-		}
-		engine.Every(p.SamplePeriod, p.SamplePeriod, flowTick, st.flows)
-	}
 	for _, a := range p.Timeline.Actions {
 		engine.AtFunc(a.At, chaosApply, &boundAction{st: st, a: a})
 	}
@@ -616,23 +517,6 @@ func RunSim(plan SimPlan) (*SimResult, error) {
 	// Invariant: telemetry counters only ever grew.
 	for _, v := range mono.violations {
 		res.Violations = append(res.Violations, "monotonicity: "+v)
-	}
-	// Flow-table exercise: the table must have answered consistently at
-	// every tick, and retired generations must not pile up — at any
-	// instant at most the current and one aging generation per class can
-	// be resident.
-	if fr := st.flows; fr != nil {
-		fs := fr.table.Stats()
-		res.FlowResident = fs.Resident
-		res.FlowHits = fs.Hits
-		res.FlowMisses = fs.Misses
-		res.FlowEvictions = fs.Evictions
-		res.Violations = append(res.Violations, fr.violations...)
-		if limit := 2 * p.FlowsPerClass * len(p.SDP); fs.Resident > limit {
-			res.Violations = append(res.Violations, fmt.Sprintf(
-				"flow-table: %d resident flows exceed the churn bound %d (evictions=%d)",
-				fs.Resident, limit, fs.Evictions))
-		}
 	}
 	// Controller outcome: seam errors are violations, not silent stops.
 	if ctl != nil {

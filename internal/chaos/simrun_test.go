@@ -222,48 +222,6 @@ func TestRunSimBurst(t *testing.T) {
 	}
 }
 
-// TestRunSimFlowChurn: the flow-table exercise answers consistently
-// across generation bumps, memoizes (hits dominate once warm), and TTL
-// eviction reclaims retired generations.
-func TestRunSimFlowChurn(t *testing.T) {
-	tl := Timeline{Name: "flow-bumps", Actions: []Action{
-		{At: 0.3 * testHorizon, Op: OpFlowChurn, Class: 0},
-		{At: 0.5 * testHorizon, Op: OpFlowChurn, Class: 3},
-	}}
-	p := quickPlan(core.KindWTP, tl)
-	p.FlowsPerClass = 32
-	p.FlowTTL = 0.1 * testHorizon
-	res, err := RunSim(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Ok() {
-		t.Errorf("flow churn violations: %v", res.Violations)
-	}
-	classes := len(p.SDP)
-	if res.FlowResident < p.FlowsPerClass*classes || res.FlowResident > 2*p.FlowsPerClass*classes {
-		t.Errorf("resident flows %d outside [%d,%d]", res.FlowResident,
-			p.FlowsPerClass*classes, 2*p.FlowsPerClass*classes)
-	}
-	if res.FlowEvictions == 0 {
-		t.Error("generation bumps produced no evictions; TTL reclaim never ran")
-	}
-	if res.FlowHits <= res.FlowMisses {
-		t.Errorf("hits %d not dominating misses %d; memoization broken", res.FlowHits, res.FlowMisses)
-	}
-
-	// A flow-churn action without a flow population is a plan bug.
-	bad := quickPlan(core.KindWTP, tl)
-	if _, err := RunSim(bad); err == nil || !strings.Contains(err.Error(), "FlowsPerClass") {
-		t.Errorf("RunSim accepted flow-churn without flows (err=%v)", err)
-	}
-	neg := quickPlan(core.KindWTP, Timeline{Name: "none"})
-	neg.FlowsPerClass = -1
-	if _, err := RunSim(neg); err == nil {
-		t.Error("RunSim accepted negative FlowsPerClass")
-	}
-}
-
 func TestPlansCatalogShape(t *testing.T) {
 	plans := Plans(core.KindWTP, 1e6, 77)
 	if len(plans) < 6 {

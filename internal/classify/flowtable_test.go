@@ -199,6 +199,11 @@ func TestFlowTableChurnAgainstModel(t *testing.T) {
 					delete(model, k)
 				}
 			}
+			// Swept-out flows leave: residency stays bounded by the live
+			// population, however many keys went idle.
+			if got := ft.Stats().Resident; got != len(model) {
+				t.Fatalf("step %d: %d resident flows after a sweep, %d live", step, got, len(model))
+			}
 		case 9: // time jump
 			now += ttl / 2
 		}

@@ -19,11 +19,11 @@
 //     fluid Backlog-Proportional Rate reference of §4.1 within a stated
 //     tolerance (see BPRFluidObserver).
 //
-// The harness also records compact deterministic event traces (see
-// WriteTrace) that are committed as golden files and compared byte-for-byte
-// in CI, turning figure-driving simulation runs into regression tests; the
-// same traces prove the binary-heap and calendar-queue event structures of
-// internal/sim order events identically.
+// The harness runs every scenario through link.RunWithScheduler, the code
+// the experiments ship, and records compact deterministic event traces (see
+// Opts.TraceWriter) that are committed as golden files and compared
+// byte-for-byte in CI, turning figure-driving simulation runs into
+// regression tests.
 //
 // The structural invariants mirror the per-packet service bounds derived in
 // the round-robin analysis literature (Tabatabaee et al., "Interleaved

@@ -23,13 +23,10 @@ func goldenPath(kind core.Kind) string {
 
 // runGoldenTrace executes the golden scenario for kind and returns the
 // recorded event trace.
-func runGoldenTrace(t *testing.T, kind core.Kind, calendar bool) []byte {
+func runGoldenTrace(t *testing.T, kind core.Kind) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	res, err := Run(kind, GoldenScenario(), Opts{
-		CalendarQueue: calendar,
-		TraceWriter:   &buf,
-	})
+	res, err := Run(kind, GoldenScenario(), Opts{TraceWriter: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +43,7 @@ func runGoldenTrace(t *testing.T, kind core.Kind, calendar bool) []byte {
 func TestGoldenTraces(t *testing.T) {
 	for _, kind := range core.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
-			got := runGoldenTrace(t, kind, false)
+			got := runGoldenTrace(t, kind)
 			path := goldenPath(kind)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -72,29 +69,13 @@ func TestGoldenTraces(t *testing.T) {
 // TestGoldenUpdateIsDeterministic guards the -update workflow itself: two
 // regenerations must be byte-identical, or the golden files would churn.
 func TestGoldenUpdateIsDeterministic(t *testing.T) {
-	a := runGoldenTrace(t, core.KindWTP, false)
-	b := runGoldenTrace(t, core.KindWTP, false)
+	a := runGoldenTrace(t, core.KindWTP)
+	b := runGoldenTrace(t, core.KindWTP)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same seed produced different traces:\n%s", traceDiff(a, b))
 	}
 	if len(bytes.Split(a, []byte("\n"))) < 100 {
 		t.Fatalf("golden scenario suspiciously small: %d bytes", len(a))
-	}
-}
-
-// TestHeapCalendarEquivalence verifies the two internal/sim event
-// structures order events identically: the same scenario run on the binary
-// heap and on the calendar queue must emit bit-identical traces for every
-// scheduler.
-func TestHeapCalendarEquivalence(t *testing.T) {
-	for _, kind := range core.Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			heap := runGoldenTrace(t, kind, false)
-			cal := runGoldenTrace(t, kind, true)
-			if !bytes.Equal(heap, cal) {
-				t.Fatalf("calendar queue reordered events:\n%s", traceDiff(heap, cal))
-			}
-		})
 	}
 }
 

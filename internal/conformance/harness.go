@@ -6,8 +6,6 @@ import (
 
 	"pdds/internal/core"
 	"pdds/internal/link"
-	"pdds/internal/sim"
-	"pdds/internal/traffic"
 )
 
 // Checker wraps a core.Scheduler, mirrors its contents in a State, and
@@ -193,12 +191,8 @@ type Opts struct {
 	// Observers are additional invariant checks (the structural checks of
 	// Checker always run).
 	Observers []Observer
-	// CalendarQueue backs the engine with the calendar queue instead of
-	// the heap; results must be bit-identical (and the golden tests
-	// verify they are).
-	CalendarQueue bool
 	// TraceWriter, if set, receives the compact deterministic event trace
-	// of the run (see WriteTrace for the format).
+	// of the run (see traceRecorder for the format).
 	TraceWriter io.Writer
 }
 
@@ -214,58 +208,32 @@ func Run(kind core.Kind, sc Scenario, opts Opts) (*Result, error) {
 }
 
 // RunScheduler is Run for a pre-built scheduler (e.g. HPD with a custom
-// mixing factor).
+// mixing factor). The scheduler runs, wrapped in a Checker, through
+// link.RunWithScheduler — the code every experiment ships, arrival memo
+// and pooled packets included — so the golden traces pin that code.
 func RunScheduler(sched core.Scheduler, sc Scenario, opts Opts) (*Result, error) {
-	if err := sc.validate(); err != nil {
-		return nil, err
+	if sc.Name == "" {
+		return nil, fmt.Errorf("conformance: scenario has no name")
 	}
-	if sched.NumClasses() != len(sc.SDP) {
-		return nil, fmt.Errorf("conformance: scheduler has %d classes, scenario %d",
-			sched.NumClasses(), len(sc.SDP))
-	}
-
-	engine := sim.NewEngine()
-	if opts.CalendarQueue {
-		engine = sim.NewEngineCalendar()
-	}
-	checker := NewChecker(sched, opts.Observers...)
-	l := link.New(engine, sc.linkRate(), checker)
-	// Use the pooled hot path here too, so packet recycling runs under
-	// the full invariant checks and the golden traces pin its behavior.
-	pool := core.NewPacketPool()
-	l.Pool = pool
-
+	cfg := link.RunConfig{SDP: sc.SDP, Load: sc.Load, LinkRate: sc.linkRate(),
+		Horizon: sc.Horizon, Seed: sc.Seed}
+	obs := opts.Observers
 	var tr *traceRecorder
 	if opts.TraceWriter != nil {
+		// Arrivals are traced as the link enqueues them, which it does
+		// for every arrival of a lossless link; departures as they leave.
 		tr = newTraceRecorder(opts.TraceWriter)
 		if err := tr.header(sched.Name(), sc); err != nil {
 			return nil, err
 		}
+		obs = append(obs[:len(obs):len(obs)], tr)
+		cfg.Observers = []func(*core.Packet){tr.depart}
 	}
-	l.OnDepart = func(p *core.Packet) {
-		if tr != nil {
-			tr.depart(p)
-		}
-	}
-
-	sources, err := sc.Load.Build(sc.linkRate(), sc.Seed)
+	checker := NewChecker(sched, obs...)
+	res, err := link.RunWithScheduler(checker, cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, s := range sources {
-		s.Pool = pool
-	}
-	var generated uint64
-	traffic.StartAll(engine, sources, func(p *core.Packet) {
-		generated++
-		if tr != nil {
-			tr.arrive(engine.Now(), p)
-		}
-		l.Arrive(p)
-	})
-
-	engine.RunUntil(sc.Horizon)
-
 	if tr != nil {
 		if err := tr.flush(); err != nil {
 			return nil, err
@@ -274,11 +242,11 @@ func RunScheduler(sched core.Scheduler, sc Scenario, opts Opts) (*Result, error)
 	return &Result{
 		Scheduler:   sched.Name(),
 		Scenario:    sc.Name,
-		Generated:   generated,
+		Generated:   res.Generated,
 		Dequeued:    checker.st.dequeued,
-		Departed:    l.Departed(),
+		Departed:    res.Departed,
 		Backlogged:  checker.st.total,
-		Utilization: l.Utilization(),
+		Utilization: res.Utilization,
 		Violations:  checker.finish(),
 	}, nil
 }

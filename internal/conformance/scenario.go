@@ -1,8 +1,6 @@
 package conformance
 
 import (
-	"fmt"
-
 	"pdds/internal/link"
 	"pdds/internal/traffic"
 )
@@ -26,23 +24,6 @@ type Scenario struct {
 }
 
 func (s Scenario) linkRate() float64 { return link.PaperLinkRate }
-
-func (s Scenario) validate() error {
-	if s.Name == "" {
-		return fmt.Errorf("conformance: scenario has no name")
-	}
-	if len(s.SDP) == 0 {
-		return fmt.Errorf("conformance: scenario %q has no SDPs", s.Name)
-	}
-	if len(s.SDP) != len(s.Load.Fractions) {
-		return fmt.Errorf("conformance: scenario %q: %d SDPs but %d class fractions",
-			s.Name, len(s.SDP), len(s.Load.Fractions))
-	}
-	if !(s.Horizon > 0) {
-		return fmt.Errorf("conformance: scenario %q: horizon %g must be > 0", s.Name, s.Horizon)
-	}
-	return s.Load.Validate()
-}
 
 // Scenarios returns the standard conformance workloads. Every scheduler
 // must satisfy every invariant on all of them:

@@ -22,7 +22,8 @@ import (
 // so two runs produce identical traces iff every scheduling decision and
 // every float computation matched bit-for-bit. Golden copies of these
 // traces live under testdata/golden and are regenerated with the test
-// flag -update.
+// flag -update. It writes A lines as a Checker Observer and D lines as a
+// link departure observer.
 type traceRecorder struct {
 	w   *bufio.Writer
 	err error
@@ -59,12 +60,22 @@ func (t *traceRecorder) header(sched string, sc Scenario) error {
 	return t.err
 }
 
-func (t *traceRecorder) arrive(now float64, p *core.Packet) {
+// Name implements Observer.
+func (t *traceRecorder) Name() string { return "trace" }
+
+// OnEnqueue implements Observer: it writes the packet's A line.
+func (t *traceRecorder) OnEnqueue(now float64, p *core.Packet, _ *State) {
 	t.line("A", g17(now),
 		strconv.FormatUint(p.ID, 10),
 		strconv.Itoa(p.Class),
 		strconv.FormatInt(p.Size, 10))
 }
+
+// OnDequeue, Done and Violations implement Observer; a trace checks
+// nothing.
+func (t *traceRecorder) OnDequeue(float64, *core.Packet, *State) {}
+func (t *traceRecorder) Done(*State)                             {}
+func (t *traceRecorder) Violations() []Violation                 { return nil }
 
 func (t *traceRecorder) depart(p *core.Packet) {
 	t.line("D", g17(p.Departure),

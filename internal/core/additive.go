@@ -10,9 +10,10 @@ package core
 // d_i − d_j = s_j − s_i between classes, rather than the proportional
 // spacing WTP produces. It is included as the paper's "interesting case of
 // another relative differentiation model" for the ablation benches.
+// Retune replaces the offset vector s.
 type Additive struct {
 	classQueues
-	sdp []float64
+	paramVec // additive offsets
 }
 
 // NewAdditive returns an additive-differentiation scheduler with the given
@@ -20,7 +21,7 @@ type Additive struct {
 func NewAdditive(sdp []float64) *Additive {
 	ValidateSDPs(sdp)
 	s := &Additive{classQueues: newClassQueues(len(sdp))}
-	s.sdp = append([]float64(nil), sdp...)
+	s.paramVec = append(paramVec(nil), sdp...)
 	return s
 }
 
@@ -39,7 +40,7 @@ func (s *Additive) Dequeue(now float64) *Packet {
 		if head == nil {
 			continue
 		}
-		pri := (now - head.Arrival) + s.sdp[i]
+		pri := (now - head.Arrival) + s.paramVec[i]
 		if best == -1 || pri >= bestPri {
 			best, bestPri = i, pri
 		}

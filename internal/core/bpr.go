@@ -18,10 +18,13 @@ package core
 // scheduler transmits the head packet minimizing L_i − v_i (the one the
 // fluid server would finish first), breaking ties in favor of the higher
 // class.
+//
+// Retune replaces the SDPs; the fluid rates are re-solved from them at the
+// next departure epoch, exactly as they would be after any backlog change.
 type BPR struct {
 	classQueues
-	sdp  []float64
-	rate float64 // link rate R, bytes per time unit
+	paramVec         // SDPs
+	rate     float64 // link rate R, bytes per time unit
 
 	v         []float64 // virtual service of each queue's head packet
 	r         []float64 // service rates fixed at the last epoch
@@ -38,7 +41,7 @@ func NewBPR(sdp []float64, rate float64) *BPR {
 	n := len(sdp)
 	s := &BPR{
 		classQueues: newClassQueues(n),
-		sdp:         append([]float64(nil), sdp...),
+		paramVec:    append(paramVec(nil), sdp...),
 		rate:        rate,
 		v:           make([]float64, n),
 		r:           make([]float64, n),
@@ -121,12 +124,12 @@ func (s *BPR) Dequeue(now float64) *Packet {
 	var denom float64
 	for i := range s.q {
 		if !s.q[i].Empty() {
-			denom += s.sdp[i] * float64(s.bytes[i])
+			denom += s.paramVec[i] * float64(s.bytes[i])
 		}
 	}
 	for i := range s.r {
 		if denom > 0 && !s.q[i].Empty() {
-			s.r[i] = s.rate * s.sdp[i] * float64(s.bytes[i]) / denom
+			s.r[i] = s.rate * s.paramVec[i] * float64(s.bytes[i]) / denom
 		} else {
 			s.r[i] = 0
 		}

@@ -19,9 +19,14 @@ package core
 //     p_i = g·w̃_i + (1−g)·d̃_i, retaining PAD's long-term accuracy and
 //     most of WTP's short-timescale accuracy. g ≈ 0.875 is the
 //     recommended operating point.
+//
+// Retune replaces the SDPs and deliberately keeps the departed-delay
+// history (sum/count): PAD's normalized average is a long-run quantity,
+// and resetting it on every controller step would turn each retune into a
+// transient of its own.
 type PAD struct {
 	classQueues
-	sdp []float64
+	paramVec // SDPs
 	// sum and count accumulate the delays of departed packets per
 	// class.
 	sum   []float64
@@ -35,7 +40,7 @@ func NewPAD(sdp []float64) *PAD {
 	n := len(sdp)
 	s := &PAD{
 		classQueues: newClassQueues(n),
-		sdp:         append([]float64(nil), sdp...),
+		paramVec:    append(paramVec(nil), sdp...),
 		sum:         make([]float64, n),
 		count:       make([]float64, n),
 	}
@@ -51,7 +56,7 @@ func (s *PAD) Enqueue(p *Packet, now float64) { s.push(p) }
 // normAvg returns class i's normalized average delay assuming its head
 // packet (waiting w) were served now.
 func (s *PAD) normAvg(i int, w float64) float64 {
-	return (s.sum[i] + w) / (s.count[i] + 1) * s.sdp[i]
+	return (s.sum[i] + w) / (s.count[i] + 1) * s.paramVec[i]
 }
 
 // Dequeue implements Scheduler.
@@ -79,12 +84,13 @@ func (s *PAD) Dequeue(now float64) *Packet {
 
 // HPD is the hybrid proportional delay scheduler: a convex combination of
 // WTP's normalized head waiting time and PAD's normalized average delay.
+// Like PAD's, its delay history survives a Retune.
 type HPD struct {
 	classQueues
-	sdp   []float64
-	g     float64
-	sum   []float64
-	count []float64
+	paramVec // SDPs
+	g        float64
+	sum      []float64
+	count    []float64
 }
 
 // DefaultHPDG is the recommended mixing factor g.
@@ -100,7 +106,7 @@ func NewHPD(sdp []float64, g float64) *HPD {
 	n := len(sdp)
 	return &HPD{
 		classQueues: newClassQueues(n),
-		sdp:         append([]float64(nil), sdp...),
+		paramVec:    append(paramVec(nil), sdp...),
 		g:           g,
 		sum:         make([]float64, n),
 		count:       make([]float64, n),
@@ -126,8 +132,8 @@ func (s *HPD) Dequeue(now float64) *Packet {
 			continue
 		}
 		w := now - head.Arrival
-		wtpTerm := w * s.sdp[i]
-		padTerm := (s.sum[i] + w) / (s.count[i] + 1) * s.sdp[i]
+		wtpTerm := w * s.paramVec[i]
+		padTerm := (s.sum[i] + w) / (s.count[i] + 1) * s.paramVec[i]
 		v := s.g*wtpTerm + (1-s.g)*padTerm
 		if best == -1 || v >= bestVal {
 			best, bestVal = i, v

@@ -22,11 +22,15 @@ package core
 // IWRR) the resulting *delay* ratios drift with class loads; PF's
 // distinguishing feature is the memory: after an idle spell a returning
 // class briefly catches up, where DRR and WFQ restart it from scratch.
+//
+// Retune replaces the weights while the EWMA state carries over, so a
+// controller step shifts the equilibrium shares without forgetting who was
+// recently served.
 type PF struct {
 	classQueues
-	weight []float64 // per-class QoS weights (SDP-style, nondecreasing)
-	ltRate []float64 // EWMA long-term served bytes per selection slot
-	tScale float64
+	paramVec           // per-class QoS weights (SDP-style, nondecreasing)
+	ltRate   []float64 // EWMA long-term served bytes per selection slot
+	tScale   float64
 }
 
 // DefaultPFTimeScale is the EWMA horizon in selection slots. A few
@@ -46,7 +50,7 @@ func NewPF(weights []float64) *PF {
 	n := len(weights)
 	s := &PF{
 		classQueues: newClassQueues(n),
-		weight:      append([]float64(nil), weights...),
+		paramVec:    append(paramVec(nil), weights...),
 		ltRate:      make([]float64, n),
 		tScale:      DefaultPFTimeScale,
 	}
@@ -62,7 +66,7 @@ func NewPF(weights []float64) *PF {
 func (s *PF) Name() string { return "PF" }
 
 // Weights returns the per-class QoS weights.
-func (s *PF) Weights() []float64 { return s.weight }
+func (s *PF) Weights() []float64 { return s.paramVec }
 
 // Enqueue implements Scheduler.
 func (s *PF) Enqueue(p *Packet, now float64) { s.push(p) }
@@ -79,7 +83,7 @@ func (s *PF) Dequeue(now float64) *Packet {
 		if head == nil {
 			continue
 		}
-		pri := s.weight[i] * float64(head.Size) / s.ltRate[i]
+		pri := s.paramVec[i] * float64(head.Size) / s.ltRate[i]
 		if best == -1 || pri >= bestPri {
 			best, bestPri = i, pri
 		}
@@ -97,15 +101,4 @@ func (s *PF) Dequeue(now float64) *Packet {
 	}
 	s.ltRate[best] += float64(p.Size) / s.tScale
 	return p
-}
-
-// Retune implements Retuner: the weight vector is replaced while the
-// EWMA state carries over, so a controller step shifts the equilibrium
-// shares without forgetting who was recently served.
-func (s *PF) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.weight)); err != nil {
-		return err
-	}
-	copy(s.weight, params)
-	return nil
 }

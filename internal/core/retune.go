@@ -53,66 +53,20 @@ func CheckRetuneParams(params []float64, n int) error {
 	return CheckSDPs(params)
 }
 
-// Retune implements Retuner: the SDP vector is replaced; queued packets
-// keep their positions and future selection scans use the new priorities.
-func (s *WTP) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.sdp)); err != nil {
-		return err
-	}
-	copy(s.sdp, params)
-	return nil
-}
+// paramVec is a scheduler's differentiation parameter vector — SDPs,
+// additive offsets or service weights — for the disciplines whose retune
+// is a plain replacement of it (WTP, PAD, HPD, BPR, Additive, WFQ and PF).
+// They embed it, so its Retune is theirs; each type's doc says which of its
+// other state survives a retune.
+type paramVec []float64
 
-// Retune implements Retuner. The departed-delay history (sum/count) is
-// deliberately retained: PAD's normalized average is a long-run quantity,
-// and resetting it on every controller step would turn each retune into a
-// transient of its own.
-func (s *PAD) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.sdp)); err != nil {
+// Retune implements Retuner: the vector is replaced in place, so a
+// successful retune allocates nothing.
+func (v paramVec) Retune(params []float64) error {
+	if err := CheckRetuneParams(params, len(v)); err != nil {
 		return err
 	}
-	copy(s.sdp, params)
-	return nil
-}
-
-// Retune implements Retuner; like PAD, the delay history survives.
-func (s *HPD) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.sdp)); err != nil {
-		return err
-	}
-	copy(s.sdp, params)
-	return nil
-}
-
-// Retune implements Retuner. The fluid rates are re-solved from the new
-// SDPs at the next departure epoch, exactly as they would be after any
-// backlog change.
-func (s *BPR) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.sdp)); err != nil {
-		return err
-	}
-	copy(s.sdp, params)
-	return nil
-}
-
-// Retune implements Retuner for the additive-offset vector.
-func (s *Additive) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.sdp)); err != nil {
-		return err
-	}
-	copy(s.sdp, params)
-	return nil
-}
-
-// Retune implements Retuner. Finish tags already assigned keep their old
-// spacing (per-class tags stay monotone, so FIFO within a class is
-// untouched); packets enqueued after the retune are tagged with the new
-// weights.
-func (s *WFQ) Retune(params []float64) error {
-	if err := CheckRetuneParams(params, len(s.weight)); err != nil {
-		return err
-	}
-	copy(s.weight, params)
+	copy(v, params)
 	return nil
 }
 

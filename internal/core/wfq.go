@@ -13,12 +13,17 @@ package core
 // experiments reproduce — is that static bandwidth shares make the *delay*
 // ratios between classes depend on the class loads and burstiness, so
 // capacity differentiation is controllable in bandwidth but not in delay.
+//
+// Retune replaces the weights. Finish tags already assigned keep their old
+// spacing (per-class tags stay monotone, so FIFO within a class is
+// untouched); packets enqueued after the retune are tagged with the new
+// weights.
 type WFQ struct {
 	classQueues
-	weight []float64
-	tags   []floatRing // finish tags, parallel to each class FIFO
-	last   []float64   // last assigned finish tag per class
-	vtime  float64     // virtual time: tag of packet in (or last in) service
+	paramVec             // class weights
+	tags     []floatRing // finish tags, parallel to each class FIFO
+	last     []float64   // last assigned finish tag per class
+	vtime    float64     // virtual time: tag of packet in (or last in) service
 }
 
 // NewWFQ returns an SCFQ scheduler with the given per-class weights
@@ -28,7 +33,7 @@ func NewWFQ(weights []float64) *WFQ {
 	n := len(weights)
 	s := &WFQ{
 		classQueues: newClassQueues(n),
-		weight:      append([]float64(nil), weights...),
+		paramVec:    append(paramVec(nil), weights...),
 		tags:        make([]floatRing, n),
 		last:        make([]float64, n),
 	}
@@ -44,7 +49,7 @@ func (s *WFQ) Enqueue(p *Packet, now float64) {
 	if s.last[p.Class] > start {
 		start = s.last[p.Class]
 	}
-	tag := start + float64(p.Size)/s.weight[p.Class]
+	tag := start + float64(p.Size)/s.paramVec[p.Class]
 	s.last[p.Class] = tag
 	s.push(p)
 	s.tags[p.Class].Push(tag)

@@ -13,10 +13,12 @@ package core
 // WTP approximates the proportional differentiation model with DDP ratios
 // equal to the inverse SDP ratios.
 //
-// The selection scan is O(N) per departure as discussed in §4.2.
+// The selection scan is O(N) per departure as discussed in §4.2. Retune
+// replaces the SDP vector: queued packets keep their positions and future
+// selection scans use the new priorities.
 type WTP struct {
 	classQueues
-	sdp []float64
+	paramVec // SDPs
 }
 
 // NewWTP returns a WTP scheduler with the given SDPs
@@ -24,7 +26,7 @@ type WTP struct {
 func NewWTP(sdp []float64) *WTP {
 	ValidateSDPs(sdp)
 	s := &WTP{classQueues: newClassQueues(len(sdp))}
-	s.sdp = append([]float64(nil), sdp...)
+	s.paramVec = append(paramVec(nil), sdp...)
 	return s
 }
 
@@ -32,7 +34,7 @@ func NewWTP(sdp []float64) *WTP {
 func (s *WTP) Name() string { return "WTP" }
 
 // SDP returns the scheduler differentiation parameter of class i.
-func (s *WTP) SDP(i int) float64 { return s.sdp[i] }
+func (s *WTP) SDP(i int) float64 { return s.paramVec[i] }
 
 // Enqueue implements Scheduler.
 func (s *WTP) Enqueue(p *Packet, now float64) { s.push(p) }
@@ -56,7 +58,7 @@ func (s *WTP) selectClass(now float64) int {
 		if head == nil {
 			continue
 		}
-		pri := (now - head.Arrival) * s.sdp[i]
+		pri := (now - head.Arrival) * s.paramVec[i]
 		// >= implements "ties favor the higher class" because the scan
 		// runs from the lowest class upward.
 		if best == -1 || pri >= bestPri {

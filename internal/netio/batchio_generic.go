@@ -5,7 +5,7 @@ package netio
 import "errors"
 
 // errNoReusePort reports that this platform build has no SO_REUSEPORT
-// support wired up; the forwarder falls back to one shared socket.
+// support wired up; Listen refuses more than one shard.
 var errNoReusePort = errors.New("netio: SO_REUSEPORT unavailable on this platform")
 
 // mmsgState is unavailable off linux/amd64; batchConn keeps a nil pointer

@@ -35,10 +35,8 @@ type Config struct {
 	// 4-tuple flow hash pins every flow to one shard — and a lock-free
 	// SPSC ring into the single transmit goroutine, which merges the rings
 	// by arrival stamp into the one scheduler, so every discipline serves
-	// the same order at every shard count (DESIGN.md §3h). When
-	// SO_REUSEPORT is unavailable the shards share one socket and
-	// flow→shard stability is lost (ShardStats reports SharedSocket). At
-	// most 64.
+	// the same order at every shard count (DESIGN.md §3h). Without
+	// SO_REUSEPORT, Listen refuses more than one shard. At most 64.
 	Shards int
 	// ClassMaxPackets, when non-nil, bounds each class's queue
 	// individually (len must equal the scheduler's class count; 0 means
@@ -160,6 +158,15 @@ type Stats struct {
 	Queued uint64
 }
 
+// Unaccounted is Received − Forwarded − Dropped − BadHeader − BadClass −
+// Queued: received datagrams no counter holds (negative when counters
+// hold more than was received). The forwarder keeps it at zero in every
+// snapshot, so anything else is an accounting fault.
+func (s Stats) Unaccounted() int64 {
+	return int64(s.Received) - int64(s.Forwarded) - int64(s.Dropped) -
+		int64(s.BadHeader) - int64(s.BadClass) - int64(s.Queued)
+}
+
 // ShardStats describes one ingress shard's activity.
 type ShardStats struct {
 	// Received counts datagrams this shard pulled off its socket.
@@ -172,10 +179,6 @@ type ShardStats struct {
 	// Mode is the shard's active I/O path: "mmsg" (recvmmsg/sendmmsg
 	// batched syscalls) or "datagram" (portable fallback).
 	Mode string
-	// SharedSocket is true when SO_REUSEPORT was unavailable and every
-	// shard reads the same socket: batching still applies but the kernel
-	// no longer pins flows to shards.
-	SharedSocket bool
 }
 
 // Forwarder is a single-hop class-based forwarding element over UDP.
@@ -199,7 +202,6 @@ type ShardStats struct {
 type Forwarder struct {
 	cfg        Config
 	conns      []*net.UDPConn // shard ingress sockets; conns[0] is canonical
-	shared     bool           // REUSEPORT unavailable: all shards read conns[0]
 	dst        *net.UDPAddr
 	epoch      time.Time
 	telem      *telemetry.Registry
@@ -283,7 +285,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netio: resolve forward addr: %w", err)
 	}
-	conns, shared, err := listenShards(cfg.Listen, cfg.Shards)
+	conns, err := listenShards(cfg.Listen, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +325,6 @@ func Listen(cfg Config) (*Forwarder, error) {
 	f := &Forwarder{
 		cfg:         cfg,
 		conns:       conns,
-		shared:      shared,
 		dst:         dst,
 		epoch:       time.Now(),
 		telem:       cfg.Telemetry,
@@ -368,11 +369,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 	f.shards = make([]*ingressShard, cfg.Shards)
 	rings := make([]*spscRing, cfg.Shards)
 	for i := range f.shards {
-		conn := conns[0]
-		if !shared {
-			conn = conns[i]
-		}
-		bc, err := newBatchConn(conn, defaultIOBatch)
+		bc, err := newBatchConn(conns[i], defaultIOBatch)
 		if err != nil {
 			closeConns()
 			if f.metrics != nil {
@@ -382,7 +379,7 @@ func Listen(cfg Config) (*Forwarder, error) {
 		}
 		f.shards[i] = newIngressShard(f, i, bc)
 		rings[i] = f.shards[i].xmit
-		f.shardStats[i] = ShardStats{Mode: bc.Mode(), SharedSocket: shared}
+		f.shardStats[i] = ShardStats{Mode: bc.Mode()}
 	}
 	f.pace = newPacer(sched, rings, rate)
 	f.ingressWG.Add(len(f.shards))
@@ -754,6 +751,3 @@ func (f *Forwarder) write(out *net.UDPConn, payload []byte) error {
 		backoff *= 2
 	}
 }
-
-// ErrClosed is returned by operations on a closed forwarder.
-var ErrClosed = errors.New("netio: forwarder closed")

@@ -56,13 +56,34 @@ func waitStats(t *testing.T, f *Forwarder, timeout time.Duration, cond func(Stat
 	}
 }
 
+// Unaccounted is what Received leaves after every terminal counter and the
+// backlog, signed.
+func TestStatsUnaccounted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		st   Stats
+		want int64
+	}{
+		{"zero", Stats{}, 0},
+		{"drained", Stats{Received: 10, Forwarded: 6, Dropped: 2, BadHeader: 1, BadClass: 1}, 0},
+		{"backlog", Stats{Received: 10, Forwarded: 4, Queued: 6}, 0},
+		{"lost", Stats{Received: 10, Forwarded: 4, Dropped: 1, Queued: 3}, 2},
+		{"counted twice", Stats{Received: 3, Forwarded: 3, BadClass: 1}, -1},
+		{"each counter", Stats{Received: 100, Forwarded: 1, Dropped: 2, BadHeader: 4, BadClass: 8, Queued: 16}, 69},
+	} {
+		if got := tc.st.Unaccounted(); got != tc.want {
+			t.Errorf("%s: Unaccounted() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // checkConservation asserts the stats invariant Received = Forwarded +
 // Dropped + BadHeader + BadClass + Queued, and — when a registry is
 // attached — that
 // per-class telemetry agrees: arrivals = departures + drops + backlog.
 func checkConservation(t *testing.T, st Stats, reg *telemetry.Registry) {
 	t.Helper()
-	if st.Received != st.Forwarded+st.Dropped+st.BadHeader+st.BadClass+st.Queued {
+	if st.Unaccounted() != 0 {
 		t.Errorf("stats conservation violated: %+v", st)
 	}
 	if reg == nil {

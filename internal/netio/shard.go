@@ -21,48 +21,37 @@ const maxShards = 64
 // REUSEPORT, byte-identical path). With n > 1 it binds n sockets to the
 // same addr:port under SO_REUSEPORT so the kernel's 4-tuple hash gives
 // every flow a stable shard — the sharding discipline the classify flow
-// table uses, realized in the kernel. When SO_REUSEPORT is unavailable
-// (non-Linux builds, exotic sandboxes) it falls back to one socket shared
-// by all shard goroutines: batching still works, but flow→shard stability
-// is lost, which the forwarder reports via ShardStats.SharedSocket.
-func listenShards(listen string, n int) ([]*net.UDPConn, bool, error) {
+// table uses, realized in the kernel. Without SO_REUSEPORT it refuses:
+// shards sharing one socket would stamp a flow's datagrams out of order.
+func listenShards(listen string, n int) ([]*net.UDPConn, error) {
 	if n <= 1 {
 		laddr, err := net.ResolveUDPAddr("udp", listen)
 		if err != nil {
-			return nil, false, fmt.Errorf("netio: resolve listen addr: %w", err)
+			return nil, fmt.Errorf("netio: resolve listen addr: %w", err)
 		}
 		c, err := net.ListenUDP("udp", laddr)
 		if err != nil {
-			return nil, false, fmt.Errorf("netio: listen: %w", err)
+			return nil, fmt.Errorf("netio: listen: %w", err)
 		}
-		return []*net.UDPConn{c}, false, nil
+		return []*net.UDPConn{c}, nil
 	}
 	lc := net.ListenConfig{Control: reusePortControl}
-	pc, err := lc.ListenPacket(context.Background(), "udp", listen)
-	if err != nil {
-		// REUSEPORT (or the bind itself) failed: try the classic bind and
-		// share it. A genuinely unusable address still errors out here.
-		conns, _, serr := listenShards(listen, 1)
-		if serr != nil {
-			return nil, false, serr
-		}
-		return conns, true, nil
-	}
-	conns := []*net.UDPConn{pc.(*net.UDPConn)}
-	// The first bind resolved ":0" to a concrete port; the rest must bind
-	// that exact addr:port to join the REUSEPORT group.
-	concrete := conns[0].LocalAddr().String()
+	var conns []*net.UDPConn
+	addr := listen
 	for len(conns) < n {
-		pc, err := lc.ListenPacket(context.Background(), "udp", concrete)
+		pc, err := lc.ListenPacket(context.Background(), "udp", addr)
 		if err != nil {
-			for _, c := range conns[1:] {
+			for _, c := range conns {
 				c.Close()
 			}
-			return conns[:1], true, nil
+			return nil, fmt.Errorf("netio: listen %d shards with SO_REUSEPORT: %w", n, err)
 		}
 		conns = append(conns, pc.(*net.UDPConn))
+		// The first bind resolved ":0" to a concrete port; the rest must
+		// bind that exact addr:port to join the REUSEPORT group.
+		addr = conns[0].LocalAddr().String()
 	}
-	return conns, false, nil
+	return conns, nil
 }
 
 // reusePortControl is the net.ListenConfig hook that sets SO_REUSEPORT
@@ -84,10 +73,9 @@ const (
 	slotRejected  = -3 // accounted (drop) — phase 3 must not build a packet
 )
 
-// ingressShard is one parallel receive path: a socket (its own under
-// SO_REUSEPORT, or the shared one in fallback mode), batched reads, flow
-// classification, admission accounting, and a lock-free SPSC ring into the
-// transmit goroutine. The reverse free ring returns recycled packets so
+// ingressShard is one parallel receive path: its own socket, batched
+// reads, flow classification, admission accounting, and a lock-free SPSC
+// ring into the transmit goroutine. The reverse free ring returns recycled packets so
 // the steady-state ingress path allocates nothing.
 type ingressShard struct {
 	f    *Forwarder

@@ -139,9 +139,6 @@ func TestForwarderShardedConservation(t *testing.T) {
 				if s.Mode != "mmsg" && s.Mode != "datagram" {
 					t.Errorf("shard %d: mode %q", i, s.Mode)
 				}
-				if s.SharedSocket != ss[0].SharedSocket {
-					t.Errorf("shard %d: SharedSocket disagrees with shard 0", i)
-				}
 			}
 			if shardSum != st.Received {
 				t.Fatalf("shard Received sum %d != aggregate %d", shardSum, st.Received)
@@ -149,7 +146,7 @@ func TestForwarderShardedConservation(t *testing.T) {
 			if active == 0 {
 				t.Fatal("no shard received anything")
 			}
-			t.Logf("shards=%d active=%d shared=%v modes=%s", shards, active, ss[0].SharedSocket, ss[0].Mode)
+			t.Logf("shards=%d active=%d modes=%s", shards, active, ss[0].Mode)
 
 			if err := fwd.Close(); err != nil {
 				t.Fatal(err)
@@ -555,10 +552,9 @@ func BenchmarkIngressProcessBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(slots))/b.Elapsed().Seconds(), "packets/sec")
 }
 
-// Multi-shard sockets join one REUSEPORT group: same port, N sockets —
-// or fall back honestly to a shared socket.
+// Multi-shard sockets join one REUSEPORT group: same port, N sockets.
 func TestListenShardsGroup(t *testing.T) {
-	conns, shared, err := listenShards("127.0.0.1:0", 4)
+	conns, err := listenShards("127.0.0.1:0", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,12 +563,6 @@ func TestListenShardsGroup(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if shared {
-		if len(conns) != 1 {
-			t.Fatalf("shared mode with %d sockets", len(conns))
-		}
-		t.Skip("SO_REUSEPORT unavailable here; shared-socket fallback verified")
-	}
 	if len(conns) != 4 {
 		t.Fatalf("got %d sockets, want 4", len(conns))
 	}
@@ -581,5 +571,22 @@ func TestListenShardsGroup(t *testing.T) {
 		if p := c.LocalAddr().(*net.UDPAddr).Port; p != port {
 			t.Fatalf("socket %d bound port %d, want %d", i, p, port)
 		}
+	}
+}
+
+// Shards that cannot join a REUSEPORT group are refused, not folded onto
+// one shared socket: a port held by a plain bind admits no group.
+func TestListenShardsRefusesWithoutReusePort(t *testing.T) {
+	held, err := listenShards("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held[0].Close()
+	conns, err := listenShards(held[0].LocalAddr().String(), 2)
+	if err == nil {
+		for _, c := range conns {
+			c.Close()
+		}
+		t.Fatalf("bound %d sockets on a port without SO_REUSEPORT", len(conns))
 	}
 }

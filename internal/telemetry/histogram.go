@@ -79,16 +79,6 @@ func (h *Histogram) Record(v float64) {
 	h.max.Observe(v)
 }
 
-// Count returns the number of recorded observations (a scan over bucket
-// counters — cheap relative to Snapshot, but not a single load).
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
 // Snapshot copies the histogram state. Concurrent Records may or may not
 // be included; Count is the bucket total, so quantile walks are always
 // internally consistent with it.

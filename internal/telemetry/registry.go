@@ -83,14 +83,6 @@ func (r *Registry) SetClassNames(names []string) {
 	r.names = append([]string(nil), names...)
 }
 
-// ClassNames returns the configured class labels (nil when unlabeled).
-func (r *Registry) ClassNames() []string {
-	if r == nil {
-		return nil
-	}
-	return r.names
-}
-
 // NumClasses returns the class count (0 for a nil registry).
 func (r *Registry) NumClasses() int {
 	if r == nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryCountersAndRatios(t *testing.T) {
@@ -137,44 +136,6 @@ func TestRegistryConcurrent(t *testing.T) {
 	arrivals, departures, _ := s.Totals()
 	if arrivals != workers*perW || departures != workers*perW {
 		t.Fatalf("lost events: %d arrivals %d departures", arrivals, departures)
-	}
-}
-
-func TestSampler(t *testing.T) {
-	r := NewWithSDP([]float64{1, 2})
-	var mu sync.Mutex
-	var windows []Snapshot
-	s := StartSampler(r, 10*time.Millisecond, func(window, total Snapshot) {
-		mu.Lock()
-		windows = append(windows, window)
-		mu.Unlock()
-	})
-	r.Arrival(0, 100, 0)
-	r.Departure(0, 100, 1, 1)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(windows)
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sampler never ticked twice")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	s.Stop()
-	s.Stop() // idempotent
-	mu.Lock()
-	defer mu.Unlock()
-	var total uint64
-	for _, w := range windows {
-		_, d, _ := w.Totals()
-		total += d
-	}
-	if total != 1 {
-		t.Fatalf("windows double-counted the departure: %d", total)
 	}
 }
 

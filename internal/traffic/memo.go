@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"math/rand/v2"
 	"slices"
 	"sync"
 
@@ -98,17 +97,16 @@ func sameSizes(a, b SizeDist) bool {
 // of Build(linkRate, seed) started with StartAll, bit for bit. A run that
 // repeats the previous recorded run's (load, linkRate, horizon, seed)
 // replays that run's arrivals instead of drawing them again; any other run
-// draws live and, if its sizes are memoisable, records its arrivals while
-// they fit memoCap. engine must be at time zero.
+// draws them through Build and StartAll and, if its sizes are memoisable,
+// records them while they fit memoCap. engine must be at time zero.
 func Feed(engine *sim.Engine, load LoadSpec, linkRate, horizon float64, seed uint64, pool *core.PacketPool, sink Sink) error {
-	if err := load.Validate(); err != nil {
-		return err
-	}
 	if engine.Now() != 0 {
 		panic("traffic: Feed needs an engine at time zero")
 	}
-	feeders := make([]feeder, len(load.Fractions))
+	// Only a load Build validated was ever recorded, so a key match needs
+	// no validation of its own; a miss is validated by Build.
 	if e := acquire(&load, linkRate, horizon, seed); e != nil {
+		feeders := make([]feeder, len(e.streams))
 		for class, s := range e.streams {
 			feeders[class] = feeder{engine: engine, sink: sink, pool: pool, class: class, s: s}
 			if len(s.times) > 0 {
@@ -120,27 +118,18 @@ func Feed(engine *sim.Engine, load LoadSpec, linkRate, horizon float64, seed uin
 		return nil
 	}
 
-	// The sources Build makes, in its order: one per class with a
-	// nonzero rate.
-	var sources int
-	for class, lambda := range load.Rates(linkRate) {
-		if lambda == 0 {
-			continue
-		}
-		sources++
-		feeders[class] = feeder{engine: engine, sink: sink, pool: pool, class: class,
-			inter: load.Inter(lambda), sizes: load.Sizes, rng: classRNG(seed, class),
-			s: stream{idBase: uint64(sources) << 40}}
+	sources, err := load.Build(linkRate, seed)
+	if err != nil {
+		return err
+	}
+	for _, s := range sources {
+		s.Pool = pool
 	}
 	var rec *recording
 	if memoisable(load.Sizes) {
-		rec = record(feeders, horizon)
+		rec = record(sources, horizon)
 	}
-	for i := range feeders {
-		if f := &feeders[i]; f.rng != nil {
-			engine.AtFunc(f.inter.Next(f.rng), feedEmit, f)
-		}
-	}
+	StartAll(engine, sources, sink)
 	engine.RunUntil(horizon)
 	if rec == nil || rec.abandoned {
 		return nil
@@ -152,10 +141,20 @@ func Feed(engine *sim.Engine, load LoadSpec, linkRate, horizon float64, seed uin
 			sizes:     load.Sizes,
 			linkRate:  linkRate, horizon: horizon, seed: seed,
 		},
-		streams: make([]stream, len(feeders)),
+		streams: rec.spare[:0],
 	}
-	for class, f := range feeders {
-		e.streams[class] = f.s
+	// The spare streams' buffers now belong to the sources; their slice
+	// holds the new entry's streams, one per class, empty where a class
+	// has no source.
+	if n := len(load.Fractions); cap(e.streams) >= n {
+		e.streams = e.streams[:n]
+		clear(e.streams)
+	} else {
+		e.streams = make([]stream, n)
+	}
+	for _, s := range sources {
+		s.s.idBase = s.idBase
+		e.streams[s.Class] = s.s
 	}
 	memo.mu.Lock()
 	memo.entry = e
@@ -187,18 +186,19 @@ func (e *memoEntry) release() {
 	}
 }
 
-// recording is what a live run's feeders share while they record.
+// recording is what a live run's sources share while they record.
 type recording struct {
-	feeders   []feeder
+	sources   []*Source
+	spare     []stream // the dropped entry's streams, buffers reused
 	abandoned bool
 }
 
-// record starts recording the drawing feeders: it drops the memo's entry,
-// so the old entry and its replacement never coexist, and gives each
-// feeder's stream room for its expected arrival count λ·horizon, the whole
-// scaled to fit memoCap, reusing spare buffers where they are large enough.
+// record starts recording the sources: it drops the memo's entry, so the
+// old entry and its replacement never coexist, and gives each source's
+// stream room for its expected arrival count λ·horizon, the whole scaled
+// to fit memoCap, reusing spare buffers where they are large enough.
 // Streams grow past that room only through grow, which holds the cap.
-func record(feeders []feeder, horizon float64) *recording {
+func record(sources []*Source, horizon float64) *recording {
 	memo.mu.Lock()
 	if e := memo.entry; e != nil {
 		memo.entry = nil
@@ -210,69 +210,61 @@ func record(feeders []feeder, horizon float64) *recording {
 	memo.spare = nil
 	memo.mu.Unlock()
 
-	r := &recording{feeders: feeders}
+	r := &recording{sources: sources, spare: spare}
 	var want float64
-	for _, f := range feeders {
-		if f.rng != nil {
-			want += horizon / f.inter.Mean()
-		}
+	for _, s := range sources {
+		want += horizon / s.Inter.Mean()
 	}
 	scale := 1.05
 	if want*scale > memoCap {
 		scale = memoCap / want
 	}
 	room := memoCap
-	for i := range feeders {
-		f := &feeders[i]
-		if f.rng == nil {
-			continue
-		}
-		f.rec = r
-		n := min(int(horizon/f.inter.Mean()*scale)+16, room)
+	for _, s := range sources {
+		s.rec = r
+		n := min(int(horizon/s.Inter.Mean()*scale)+16, room)
 		room -= n
-		if c := f.class; c < len(spare) && cap(spare[c].times) >= n {
-			f.s.times, f.s.sizes = spare[c].times[:0], spare[c].sizes[:0]
+		if c := s.Class; c < len(spare) && cap(spare[c].times) >= n {
+			s.s.times, s.s.sizes = spare[c].times[:0], spare[c].sizes[:0]
 		} else {
-			f.s.times, f.s.sizes = make([]float64, 0, n), make([]int32, 0, n)
+			s.s.times, s.s.sizes = make([]float64, 0, n), make([]int32, 0, n)
 		}
 	}
 	return r
 }
 
-// grow makes room for more arrivals in f's stream, at most what memoCap
+// grow makes room for more arrivals in s's stream, at most what memoCap
 // leaves, or abandons the recording once the cap is reached.
-func (r *recording) grow(f *feeder) bool {
+func (r *recording) grow(s *Source) bool {
 	total := 0
-	for i := range r.feeders {
-		total += len(r.feeders[i].s.times)
+	for _, o := range r.sources {
+		total += len(o.s.times)
 	}
-	n := len(f.s.times)
+	n := len(s.s.times)
 	room := min(n+16, memoCap-total)
 	if room <= 0 {
 		r.abandon()
 		return false
 	}
 	times, sizes := make([]float64, n, n+room), make([]int32, n, n+room)
-	copy(times, f.s.times)
-	copy(sizes, f.s.sizes)
-	f.s.times, f.s.sizes = times, sizes
+	copy(times, s.s.times)
+	copy(sizes, s.s.sizes)
+	s.s.times, s.s.sizes = times, sizes
 	return true
 }
 
 // abandon stops recording; the run goes on drawing live.
 func (r *recording) abandon() {
 	r.abandoned = true
-	for i := range r.feeders {
-		f := &r.feeders[i]
-		f.rec = nil
-		f.s.times, f.s.sizes = nil, nil
+	for _, s := range r.sources {
+		s.rec = nil
+		s.s.times, s.s.sizes = nil, nil
 	}
 }
 
-// feeder emits one class's arrivals through a single chained event, as
-// Source does: each emission schedules the next after the sink returns.
-// With an rng it draws them exactly as Source does, recording into s while
-// rec is set; without one it replays s.
+// feeder replays one class's recorded arrivals through a single chained
+// event, as Source emits them: each emission schedules the next after the
+// sink returns.
 type feeder struct {
 	engine *sim.Engine
 	sink   Sink
@@ -280,10 +272,6 @@ type feeder struct {
 	class  int
 	s      stream
 	k      int // arrivals emitted so far
-	inter  Interarrival
-	sizes  SizeDist
-	rng    *rand.Rand
-	rec    *recording
 }
 
 // feedEmit is the shared closure-free event body for feeders.
@@ -295,21 +283,11 @@ func (f *feeder) emit() {
 	p := f.pool.Get()
 	p.ID = f.s.idBase + uint64(f.k)
 	p.Class = f.class
+	p.Size = int64(f.s.sizes[f.k-1])
 	p.Arrival = now
 	p.Birth = now
-	if f.rng == nil {
-		p.Size = int64(f.s.sizes[f.k-1])
-		f.sink(p)
-		if f.k < len(f.s.times) {
-			f.engine.AtFunc(f.s.times[f.k], feedEmit, f)
-		}
-		return
-	}
-	p.Size = f.sizes.Next(f.rng)
-	if f.rec != nil && (len(f.s.times) < cap(f.s.times) || f.rec.grow(f)) {
-		f.s.times = append(f.s.times, now)
-		f.s.sizes = append(f.s.sizes, int32(p.Size))
-	}
 	f.sink(p)
-	f.engine.AtFunc(now+f.inter.Next(f.rng), feedEmit, f)
+	if f.k < len(f.s.times) {
+		f.engine.AtFunc(f.s.times[f.k], feedEmit, f)
+	}
 }

@@ -37,14 +37,20 @@ func record(deps *[]departure) func(*core.Packet) {
 }
 
 // reference runs cfg through the wiring link.Run used before the memo:
-// Build, StartAll and link.New on a fresh engine, every arrival drawn live.
+// Build, StartAll and link.New on a fresh heap engine, every arrival drawn
+// live.
 func reference(t testing.TB, cfg link.RunConfig) outcome {
+	t.Helper()
+	return referenceOn(t, sim.NewEngine(), cfg)
+}
+
+// referenceOn is reference on the given fresh engine.
+func referenceOn(t testing.TB, engine *sim.Engine, cfg link.RunConfig) outcome {
 	t.Helper()
 	sched, err := core.New(cfg.Kind, cfg.SDP, cfg.LinkRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine := sim.NewEngine()
 	l := link.New(engine, cfg.LinkRate, sched)
 	pool := core.NewPacketPool()
 	l.Pool = pool
@@ -151,6 +157,18 @@ func TestRunMatchesLiveWiring(t *testing.T) {
 			}
 			sameOutcome(t, tc.name+" warm "+string(kind), run(t, cfg), want)
 		}
+	}
+}
+
+// The calendar-queue engine orders every discipline's workload exactly as
+// the heap does.
+func TestReferenceOnCalendarEngine(t *testing.T) {
+	for _, kind := range core.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := link.RunConfig{Kind: kind, SDP: []float64{1, 2, 4, 8}, Load: traffic.PaperLoad(0.95),
+				LinkRate: link.PaperLinkRate, Horizon: 3e4, Warmup: 3e3, Seed: 4242}
+			sameOutcome(t, "calendar", referenceOn(t, sim.NewEngineCalendar(), cfg), reference(t, cfg))
+		})
 	}
 }
 

@@ -31,9 +31,13 @@ type Source struct {
 	sink    Sink
 	nextID  uint64
 	idBase  uint64
-	count   uint64
 	pending *sim.Event // the scheduled next emission; nil while emitting or paused
 	paused  bool
+
+	// rec, while set, is the arrival memo's recording this source's
+	// arrivals go into, in s (see Feed).
+	rec *recording
+	s   stream
 }
 
 // Start begins emitting packets into sink on the engine. The first packet
@@ -50,7 +54,7 @@ func (s *Source) Start(engine *sim.Engine, sink Sink, idBase uint64) {
 }
 
 // Emitted returns how many packets the source has generated so far.
-func (s *Source) Emitted() uint64 { return s.count }
+func (s *Source) Emitted() uint64 { return s.nextID }
 
 // sourceEmit is the shared event body for source emission: a package-level
 // func plus the *Source receiver as the argument, so scheduling the next
@@ -59,7 +63,9 @@ func sourceEmit(arg any) { arg.(*Source).emit() }
 
 func (s *Source) scheduleNext() {
 	d := s.Inter.Next(s.RNG)
-	s.pending = s.engine.AfterFunc(d, sourceEmit, s)
+	// AtFunc at now+d is AfterFunc(d), but inlines: this runs once an
+	// arrival.
+	s.pending = s.engine.AtFunc(s.engine.Now()+d, sourceEmit, s)
 }
 
 // SetInter switches the source to a new interarrival distribution,
@@ -103,20 +109,20 @@ func (s *Source) Resume() {
 	s.scheduleNext()
 }
 
-// Paused reports whether the source is currently paused.
-func (s *Source) Paused() bool { return s.paused }
-
 func (s *Source) emit() {
 	s.pending = nil
 	now := s.engine.Now()
 	s.nextID++
-	s.count++
 	p := s.Pool.Get()
 	p.ID = s.idBase + s.nextID
 	p.Class = s.Class
 	p.Size = s.Sizes.Next(s.RNG)
 	p.Arrival = now
 	p.Birth = now
+	if s.rec != nil && (len(s.s.times) < cap(s.s.times) || s.rec.grow(s)) {
+		s.s.times = append(s.s.times, now)
+		s.s.sizes = append(s.s.sizes, int32(p.Size))
+	}
 	s.sink(p)
 	s.scheduleNext()
 }
@@ -203,17 +209,21 @@ func (l LoadSpec) Build(linkRate float64, seed uint64) ([]*Source, error) {
 		return nil, err
 	}
 	rates := l.Rates(linkRate)
+	// One backing array for every source: a cold link.Run builds them
+	// once a run.
+	built := make([]Source, 0, len(rates))
 	sources := make([]*Source, 0, len(rates))
 	for class, lambda := range rates {
 		if lambda == 0 {
 			continue
 		}
-		sources = append(sources, &Source{
+		built = append(built, Source{
 			Class: class,
 			Inter: l.Inter(lambda),
 			Sizes: l.Sizes,
 			RNG:   classRNG(seed, class),
 		})
+		sources = append(sources, &built[len(built)-1])
 	}
 	return sources, nil
 }
