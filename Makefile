@@ -6,7 +6,7 @@ GO ?= go
 # numbers (e.g. BENCHTIME=5s).
 BENCHTIME ?= 1s
 
-.PHONY: all build vet test test-short race bench cover conformance certify control golden-update experiments experiments-quick fuzz fuzz-smoke soak soak-sharded stress stress-full clean
+.PHONY: all build vet test test-short race bench cover conformance certify control golden-update differential experiments experiments-quick fuzz fuzz-smoke soak soak-sharded stress stress-full clean
 
 # `test` and `race` already run every test the verbose conformance,
 # certify and control views select, so `all` does not repeat them.
@@ -58,7 +58,8 @@ bench:
 cover:
 	GO="$(GO)" ./scripts/covercheck.sh
 
-# Regenerate every paper figure/table at full fidelity (~15 min single core).
+# Regenerate every paper figure/table at full fidelity (≈ 2.5 min on 2 CPUs,
+# ≈ 4 min on one; see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/pdexp -exp all -scale full -out results/
 
@@ -92,6 +93,14 @@ control:
 # change. Review the diff before committing.
 golden-update:
 	$(GO) test ./internal/conformance/ -run TestGoldenTraces -update
+
+# The long differential checks behind the simulator's exactness claims
+# (build tag fullsweep): the per-hop Study B runtime against its
+# single-engine reference on 288 configurations, and the Pareto draw's
+# replay of math.Pow on 50M draws a shape. Tier-1 `go test` runs a slice
+# of each.
+differential:
+	$(GO) test -count=1 -tags fullsweep -run 'Full$$' ./internal/network/ ./internal/traffic/
 
 # Brief fuzzing passes over the wire/file parsers.
 fuzz:

@@ -271,7 +271,7 @@ func soak(cfg loadConfig) (loadReport, error) {
 	drainDeadline := time.Now().Add(time.Duration(cfg.MaxQueue)*txTime + 2*time.Second)
 	for {
 		st := fwd.Stats()
-		if st.Queued == 0 && st.Received == st.Forwarded+st.Dropped+st.BadHeader+st.BadClass {
+		if st.Queued == 0 && st.Unaccounted() == 0 {
 			break
 		}
 		if time.Now().After(drainDeadline) {

@@ -101,9 +101,15 @@ func (l *Link) Dropped() uint64 { return l.dropped }
 
 // BusyTime returns the cumulative transmitter busy time (updated through
 // the current instant).
-func (l *Link) BusyTime() float64 {
+func (l *Link) BusyTime() float64 { return l.BusyTimeAt(l.engine.Now()) }
+
+// BusyTimeAt returns the cumulative transmitter busy time through instant
+// t, counting a transmission in flight up to t; t must not precede the
+// link's last event. It measures links that run on separate engines
+// against one common end instant.
+func (l *Link) BusyTimeAt(t float64) float64 {
 	if l.busy {
-		return l.busyTime + (l.engine.Now() - l.busySince)
+		return l.busyTime + (t - l.busySince)
 	}
 	return l.busyTime
 }

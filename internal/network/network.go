@@ -55,13 +55,12 @@ type Config struct {
 	Seed uint64
 	// Telemetry, if set, is attached to every hop's link: it aggregates
 	// arrivals, departures, drops and queueing delays per class across
-	// the whole path (live observability; see internal/telemetry).
+	// the whole path (live observability; see internal/telemetry). The
+	// hops run one after another (see Run), so a live observer sees hop 0
+	// reach each horizon before hop 1 starts, and a histogram's float Sum
+	// may differ in its last bits from a recording in event order; every
+	// counter and bucket is exact.
 	Telemetry *telemetry.Registry
-	// OnHopLink, if set, observes every hop's fully wired link before the
-	// simulation starts — the seam chaos/scenario harnesses use to attach
-	// per-hop perturbations (e.g. scheduled SetRate flaps) without the
-	// network package knowing about them.
-	OnHopLink func(hop int, l *link.Link)
 }
 
 func (c Config) withDefaults() Config {
@@ -154,14 +153,81 @@ type Result struct {
 }
 
 // Run executes the Study B simulation.
+//
+// The path is feed-forward: cross-traffic leaves after its one hop and user
+// packets only move downstream. So each hop runs on its own engine, and the
+// hops run in path order: hop h+1 replays hop h's recorded user departures
+// into its link (see hop.replay for why the result is exactly that of one
+// engine holding every hop).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	n := len(cfg.SDP)
+	pa, err := newPath(cfg.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return pa.run()
+}
 
-	engine := sim.NewEngine()
+// departure is a user packet leaving a hop that is not the last: what the
+// next hop needs to re-create it. The rest of a Packet is hop-local.
+type departure struct {
+	at, birth, queueing float64
+	id, flow            uint64
+	// chain is the chain of the busy period the packet left (see hop).
+	chain uint64
+	size  int64
+	class int32
+	hops  int32
+}
+
+// path is one Study B run: its hops and what their exits record.
+type path struct {
+	cfg  Config
+	hops []*hop
+	pool *core.PacketPool
+	// bufs alternate as hop h's departure log (bufs[h%2]) and hop h+1's
+	// input, so handing a user packet downstream allocates nothing.
+	bufs [2][]departure
+
+	flowIndex           map[uint64]*FlowStats
+	delivered, expected int
+	crossServed         uint64
+	flowDuration        float64
+	// chains numbers the chains of busy periods (see hop) path-wide.
+	chains uint64
+	// ties counts replayed departures that met an event of the receiving
+	// hop at the same instant (the case hop.replay orders).
+	ties int
+}
+
+// hop is one link of the path on its own engine.
+type hop struct {
+	path   *path
+	index  int
+	engine *sim.Engine
+	link   *link.Link
+	delays *stats.ClassDelays
+	// out is the log the next hop replays; nil at the last hop, whose user
+	// departures are deliveries.
+	out *[]departure
+	// next is the departure replayArrive re-creates.
+	next *departure
+
+	// Guard state for replay. A chain is a set of busy periods: one that
+	// a local arrival started, on any hop, and every busy period that a
+	// departure from a member started on the next hop. chain is the
+	// current busy period's chain. lastLocal and lastFinish are the
+	// instants of the latest local arrival and transmission end.
+	chain                 uint64
+	lastLocal, lastFinish float64
+}
+
+// newPath wires a run: one engine, link and set of cross sources per hop,
+// and the user flows entering hop 0. Nothing runs yet.
+func newPath(cfg Config) (*path, error) {
+	n := len(cfg.SDP)
 	linkBytesPerSec := cfg.LinkBps / 8
 
 	// Offered load accounting: the M experiments inject N flows of
@@ -172,144 +238,238 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("network: user flows alone exceed rho=%g", cfg.Rho)
 	}
 
-	// Build the chain of links.
-	links := make([]*link.Link, cfg.Hops)
-	var crossServed uint64
-	res := &Result{MeanE2E: make([]float64, n)}
-
-	// Per-run free list shared by cross-traffic sources and user flows.
-	// Links must NOT recycle (packets are forwarded hop to hop from
-	// OnDepart), so the exit points below return packets instead: cross
-	// traffic after its single hop, user packets at final delivery.
-	pool := core.NewPacketPool()
-
-	// Delivered user packets are recorded against their flow.
-	flowIndex := make(map[uint64]*FlowStats)
-	var delivered, expected int
-
-	for h := 0; h < cfg.Hops; h++ {
+	// One free list for the run. Every departure is the end of that
+	// packet object: cross traffic exits after its hop, and a user packet
+	// continues downstream as a departure record, so each link recycles.
+	userPackets := n * cfg.FlowPackets * cfg.Experiments
+	pa := &path{
+		cfg:       cfg,
+		hops:      make([]*hop, cfg.Hops),
+		pool:      core.NewPacketPool(),
+		flowIndex: make(map[uint64]*FlowStats, n*cfg.Experiments),
+	}
+	for b := 0; b < min(cfg.Hops-1, len(pa.bufs)); b++ {
+		pa.bufs[b] = make([]departure, 0, userPackets)
+	}
+	for i := range pa.hops {
 		sched, err := core.New(cfg.Scheduler, cfg.SDP, linkBytesPerSec)
 		if err != nil {
 			return nil, err
 		}
-		links[h] = link.New(engine, linkBytesPerSec, sched)
-		links[h].Telemetry = cfg.Telemetry
-	}
-	hopDelays := make([]*stats.ClassDelays, cfg.Hops)
-	for h := range hopDelays {
-		hopDelays[h] = stats.NewClassDelays(n)
-	}
-	for h := 0; h < cfg.Hops; h++ {
-		h := h
-		links[h].OnDepart = func(p *core.Packet) {
-			if p.Departure >= cfg.WarmupSec {
-				hopDelays[h].Observe(p)
-			}
-			if p.Flow == 0 {
-				crossServed++ // cross-traffic exits after its hop
-				pool.Put(p)
-				return
-			}
-			if h+1 < cfg.Hops {
-				links[h+1].Arrive(p)
-				return
-			}
-			fs := flowIndex[p.Flow]
-			if fs != nil {
-				fs.Delays.Add(p.QueueingDelay)
-				delivered++
-			}
-			pool.Put(p)
+		h := &hop{path: pa, index: i, engine: sim.NewEngine(), delays: stats.NewClassDelays(n)}
+		h.link = link.New(h.engine, linkBytesPerSec, sched)
+		h.link.Telemetry = cfg.Telemetry
+		h.link.Pool = pa.pool
+		h.link.OnDepart = h.depart
+		if i+1 < cfg.Hops {
+			h.out = &pa.bufs[i%2]
 		}
-	}
-
-	if cfg.OnHopLink != nil {
-		for h, l := range links {
-			cfg.OnHopLink(h, l)
-		}
+		pa.hops[i] = h
 	}
 
 	// Cross-traffic: C sources per hop, Pareto interarrivals, class
 	// drawn per packet from ClassMix.
 	perSourceBytes := crossBytesPerSec / float64(cfg.CrossSources)
 	meanInter := float64(cfg.PacketBytes) / perSourceBytes
-	for h := 0; h < cfg.Hops; h++ {
+	for i, h := range pa.hops {
+		sink := h.arriveLocal
 		for s := 0; s < cfg.CrossSources; s++ {
 			src := &crossSource{
-				engine: engine,
+				engine: h.engine,
 				inter:  traffic.NewPareto(cfg.Alpha, meanInter),
 				size:   cfg.PacketBytes,
 				mix:    cumulativeMix(n),
-				rng:    traffic.NewRNG(cfg.Seed, uint64(h*1000+s+1)),
-				sink:   links[h].Arrive,
-				pool:   pool,
-				id:     uint64(h*cfg.CrossSources+s+1) << 40,
+				rng:    traffic.NewRNG(cfg.Seed, uint64(i*1000+s+1)),
+				sink:   sink,
+				pool:   pa.pool,
+				id:     uint64(i*cfg.CrossSources+s+1) << 40,
 			}
 			src.start()
 		}
 	}
 
 	// User experiments: every second starting after warm-up, one flow
-	// per class.
+	// per class, entering hop 0.
 	flowRateBytes := cfg.FlowKbps * 1000 / 8
+	entry := pa.hops[0]
+	sink := entry.arriveLocal
 	for m := 0; m < cfg.Experiments; m++ {
 		start := cfg.WarmupSec + float64(m)
 		for c := 0; c < n; c++ {
-			fs := &FlowStats{Experiment: m, Class: c}
 			flowID := uint64(m*n+c) + 1
-			flowIndex[flowID] = fs
+			pa.flowIndex[flowID] = &FlowStats{Experiment: m, Class: c}
 			spec := traffic.FlowSpec{
 				Class:   c,
 				Packets: cfg.FlowPackets,
 				Size:    cfg.PacketBytes,
 				Rate:    flowRateBytes,
 			}
-			if err := traffic.ScheduleFlowPool(engine, spec, start, flowID, links[0].Arrive, pool); err != nil {
+			if err := traffic.ScheduleFlowPool(entry.engine, spec, start, flowID, sink, pa.pool); err != nil {
 				return nil, err
 			}
-			expected += cfg.FlowPackets
+			pa.expected += cfg.FlowPackets
 		}
 	}
+	pa.flowDuration = float64(cfg.FlowPackets) * float64(cfg.PacketBytes) / flowRateBytes
+	return pa, nil
+}
+
+// run simulates the path and summarizes it.
+func (pa *path) run() (*Result, error) {
+	cfg := pa.cfg
+	n := len(cfg.SDP)
 
 	// Run until every user packet is delivered (plus slack for queue
 	// drain). The last flow starts at warmup+M-1 and lasts
 	// F·gap seconds; delays are far below a second per hop at these
 	// loads, but allow a generous margin and extend if needed.
-	flowDuration := float64(cfg.FlowPackets) * float64(cfg.PacketBytes) / flowRateBytes
-	horizon := cfg.WarmupSec + float64(cfg.Experiments) + flowDuration + 5
-	for extend := 0; extend < 20 && delivered < expected; extend++ {
-		engine.RunUntil(horizon)
+	horizon := cfg.WarmupSec + float64(cfg.Experiments) + pa.flowDuration + 5
+	for extend := 0; extend < 20 && pa.delivered < pa.expected; extend++ {
+		if err := pa.runUntil(horizon); err != nil {
+			return nil, err
+		}
 		horizon += 10
 	}
-	if delivered < expected {
-		return nil, fmt.Errorf("network: only %d of %d user packets delivered; path saturated", delivered, expected)
+	if pa.delivered < pa.expected {
+		return nil, fmt.Errorf("network: only %d of %d user packets delivered; path saturated", pa.delivered, pa.expected)
 	}
 
-	// Assemble per-experiment flow table.
+	res := &Result{MeanE2E: make([]float64, n), CrossPackets: pa.crossServed}
 	res.Flows = make([][]*FlowStats, cfg.Experiments)
 	for m := 0; m < cfg.Experiments; m++ {
 		res.Flows[m] = make([]*FlowStats, n)
 		for c := 0; c < n; c++ {
-			res.Flows[m][c] = flowIndex[uint64(m*n+c)+1]
+			res.Flows[m][c] = pa.flowIndex[uint64(m*n+c)+1]
 		}
 	}
-	res.CrossPackets = crossServed
+	// Utilization is measured against one end instant for every hop: the
+	// latest event on any hop, which is where one engine holding the
+	// whole path would have stopped its clock.
+	var end float64
+	for _, h := range pa.hops {
+		end = max(end, h.engine.Now())
+	}
 	var util float64
-	for _, l := range links {
-		res.PerHopUtilization = append(res.PerHopUtilization, l.Utilization())
-		util += l.Utilization()
+	res.PerHopMeanDelay = make([][]float64, cfg.Hops)
+	for i, h := range pa.hops {
+		var u float64
+		if end > 0 {
+			u = h.link.BusyTimeAt(end) / end
+		}
+		res.PerHopUtilization = append(res.PerHopUtilization, u)
+		util += u
+		res.PerHopMeanDelay[i] = make([]float64, n)
+		for c := 0; c < n; c++ {
+			res.PerHopMeanDelay[i][c] = h.delays.Mean(c)
+		}
 	}
 	res.Utilization = util / float64(cfg.Hops)
-	res.PerHopMeanDelay = make([][]float64, cfg.Hops)
-	for h := range hopDelays {
-		res.PerHopMeanDelay[h] = make([]float64, n)
-		for c := 0; c < n; c++ {
-			res.PerHopMeanDelay[h][c] = hopDelays[h].Mean(c)
-		}
-	}
 
 	res.computeMetrics(n)
 	return res, nil
+}
+
+// runUntil advances every hop through horizon, in path order: each hop
+// first replays what its upstream hop logged in this round.
+func (pa *path) runUntil(horizon float64) error {
+	for i, h := range pa.hops {
+		if h.out != nil {
+			*h.out = (*h.out)[:0]
+		}
+		if i > 0 {
+			if err := h.replay(pa.bufs[(i-1)%2]); err != nil {
+				return err
+			}
+		}
+		h.engine.RunUntil(horizon)
+	}
+	return nil
+}
+
+// arriveLocal admits a packet from one of the hop's own sources.
+func (h *hop) arriveLocal(p *core.Packet) {
+	h.lastLocal = h.engine.Now()
+	if !h.link.Busy() {
+		h.path.chains++
+		h.chain = h.path.chains
+	}
+	h.link.Arrive(p)
+}
+
+// depart is the link's OnDepart: record the hop's delay, then let the
+// packet exit (cross traffic), move on as a departure record, or be
+// delivered (last hop). The link recycles the packet afterwards.
+func (h *hop) depart(p *core.Packet) {
+	h.lastFinish = p.Departure
+	pa := h.path
+	if p.Departure >= pa.cfg.WarmupSec {
+		h.delays.Observe(p)
+	}
+	switch {
+	case p.Flow == 0:
+		pa.crossServed++
+	case h.out != nil:
+		*h.out = append(*h.out, departure{
+			at: p.Departure, birth: p.Birth, queueing: p.QueueingDelay,
+			id: p.ID, flow: p.Flow, chain: h.chain,
+			size: p.Size, class: int32(p.Class), hops: int32(p.Hops),
+		})
+	default:
+		if fs := pa.flowIndex[p.Flow]; fs != nil {
+			fs.Delays.Add(p.QueueingDelay)
+			pa.delivered++
+		}
+	}
+}
+
+// replay feeds the upstream hop's departures into h, in order, each at its
+// own instant.
+//
+// A departure at instant t arrives after every event of h at t. On one
+// engine holding the whole path the upstream hop's transmission end hands
+// the packet over, so the order there is the order in which the two events
+// were scheduled. Every transmission takes the same time tx (one LinkBps,
+// one PacketBytes), so every transmission of a chain (see hop) ends on one
+// grid a, a+tx, (a+tx)+tx, … from the instant a its first busy period
+// began, and an event of h lands exactly on an upstream departure only
+// when both belong to one chain. At each grid instant a chain's
+// transmission ends run downstream first: at a, one busy period; and if
+// they ran so at instant s, each scheduled its hop's end at s+tx in that
+// order too, because an end hands its packet downstream, which may start
+// the next hop's busy period and schedule its end, before it schedules its
+// own. So h's event comes first. Any other tie (a local arrival at t, or
+// two chains meeting on one instant) has no known order, and replay
+// returns an error rather than guess one.
+func (h *hop) replay(in []departure) error {
+	for i := range in {
+		d := &in[i]
+		h.engine.RunUntil(d.at)
+		if h.engine.Now() == d.at {
+			if h.lastLocal == d.at || h.lastFinish != d.at || h.chain != d.chain {
+				return fmt.Errorf("network: hop %d: packet %d arrives at %v with a local event of unknown order",
+					h.index, d.id, d.at)
+			}
+			h.path.ties++
+		}
+		h.next = d
+		h.engine.AtFunc(d.at, replayArrive, h)
+		h.engine.Step()
+	}
+	return nil
+}
+
+// replayArrive is the closure-free event body that re-creates h.next as a
+// packet arriving at h.
+func replayArrive(arg any) {
+	h := arg.(*hop)
+	d := h.next
+	p := h.path.pool.Get()
+	p.ID, p.Flow, p.Size, p.Class = d.id, d.flow, d.size, int(d.class)
+	p.Birth, p.QueueingDelay, p.Hops = d.birth, d.queueing, int(d.hops)
+	if !h.link.Busy() {
+		h.chain = d.chain
+	}
+	h.link.Arrive(p)
 }
 
 // computeMetrics fills Inconsistent, RD and MeanE2E from Flows.

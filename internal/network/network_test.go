@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pdds/internal/core"
-	"pdds/internal/link"
 )
 
 func quickConfig() Config {
@@ -179,68 +178,5 @@ func TestPerHopStats(t *testing.T) {
 		if !(res.PerHopMeanDelay[h][0] > res.PerHopMeanDelay[h][3]) {
 			t.Fatalf("hop %d per-class delays not ordered: %v", h, res.PerHopMeanDelay[h])
 		}
-	}
-}
-
-func TestOnHopLinkSeesEveryHop(t *testing.T) {
-	cfg := quickConfig()
-	var hops []int
-	cfg.OnHopLink = func(h int, l *link.Link) {
-		hops = append(hops, h)
-		if l == nil || l.Scheduler() == nil {
-			t.Errorf("hop %d: link not wired", h)
-		}
-		if l.OnDepart == nil {
-			t.Errorf("hop %d: hook ran before OnDepart wiring", h)
-		}
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(hops) != cfg.Hops {
-		t.Fatalf("hook saw hops %v, want %d hops", hops, cfg.Hops)
-	}
-	for h, got := range hops {
-		if got != h {
-			t.Fatalf("hook order %v, want ascending", hops)
-		}
-	}
-}
-
-// TestOnHopLinkCanPerturb pins the hook as a real perturbation seam:
-// halving one hop's rate mid-run must change end-to-end delays, and the
-// unperturbed hook run must stay bit-identical to the control.
-func TestOnHopLinkCanPerturb(t *testing.T) {
-	ctrl, err := Run(quickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	observed := quickConfig()
-	observed.OnHopLink = func(int, *link.Link) {} // attach-only, no action
-	obsRes, err := Run(observed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obsRes.Flows[0][0].Delays.Mean() != ctrl.Flows[0][0].Delays.Mean() {
-		t.Error("attach-only hook perturbed the run")
-	}
-
-	perturbed := quickConfig()
-	perturbed.OnHopLink = func(h int, l *link.Link) {
-		if h == 0 {
-			l.SetRate(l.Rate() / 2)
-		}
-	}
-	pertRes, err := Run(perturbed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pertRes.Flows[0][0].Delays.Mean() == ctrl.Flows[0][0].Delays.Mean() {
-		t.Error("halving hop 0's rate left delays unchanged")
-	}
-	if pertRes.PerHopUtilization[0] <= ctrl.PerHopUtilization[0] {
-		t.Errorf("hop 0 utilization %v not above control %v after halving rate",
-			pertRes.PerHopUtilization[0], ctrl.PerHopUtilization[0])
 	}
 }

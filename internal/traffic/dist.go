@@ -30,6 +30,10 @@ type Interarrival interface {
 type Pareto struct {
 	Alpha float64
 	Xm    float64
+	// yf is 1/Alpha − 1 when NewPareto built the value with 1 < Alpha < 2
+	// (else 0): the fractional exponent math.Pow(u, −1/Alpha) reduces to,
+	// fixed once so Next can replay Pow's float operations directly.
+	yf float64
 }
 
 // NewPareto returns a Pareto distribution with the given shape and the
@@ -41,7 +45,14 @@ func NewPareto(alpha, mean float64) Pareto {
 	if !(mean > 0) {
 		panic("traffic: Pareto mean must be > 0")
 	}
-	return Pareto{Alpha: alpha, Xm: mean * (alpha - 1) / alpha}
+	p := Pareto{Alpha: alpha, Xm: mean * (alpha - 1) / alpha}
+	// Pow(u, y) splits |y| into integer and fraction and, for a fraction
+	// above 0.5, takes yi = 1 and yf = |y| − 1. With |y| = 1/α that is
+	// every 1 < α < 2 (α = 2 takes Pow's 1/Sqrt case instead).
+	if y := 1 / alpha; y > 0.5 {
+		p.yf = y - 1
+	}
+	return p
 }
 
 // Next implements Interarrival by inversion: Xm·U^(−1/α).
@@ -49,7 +60,22 @@ func (p Pareto) Next(rng *rand.Rand) float64 {
 	// Float64 returns [0,1); complementing avoids a zero (which would
 	// yield +Inf).
 	u := 1 - rng.Float64()
-	return p.Xm * math.Pow(u, -1/p.Alpha)
+	if p.yf == 0 {
+		return p.Xm * math.Pow(u, -1/p.Alpha)
+	}
+	return p.Xm * powNegInv(u, p.yf)
+}
+
+// powNegInv returns math.Pow(u, −1/α) bit for bit, for u in (0, 1] and
+// yf = 1/α − 1 with 1 < α < 2: the exact float operations Pow performs on
+// that input (u^yf by Exp∘Log, one Frexp step for the integer exponent 1,
+// then the reciprocal and the power-of-two rescale), minus its case
+// analysis.
+func powNegInv(u, yf float64) float64 {
+	a1 := math.Exp(yf * math.Log(u))
+	x1, xe := math.Frexp(u)
+	a1 *= x1
+	return math.Ldexp(1/a1, -xe)
 }
 
 // Mean implements Interarrival.

@@ -214,3 +214,51 @@ func TestRNGDeterminism(t *testing.T) {
 		t.Fatal("different-seed RNGs identical")
 	}
 }
+
+// paretoShapes are the 1 < α < 2 shapes the Pow replay is checked at,
+// the paper's 1.9 among them, plus the largest float below 2.
+var paretoShapes = []float64{1.05, 1.2, 1.5, 1.9, 1.99, math.Nextafter(2, 0)}
+
+// checkParetoMatchesPow fails t unless, at every shape, Next's replay of
+// math.Pow agrees with Pow bit for bit on draws uniform draws plus edge
+// values of u, and a Pareto literal (which keeps Pow) draws the same
+// stream as NewPareto's.
+func checkParetoMatchesPow(t *testing.T, draws int) {
+	t.Helper()
+	edges := []float64{1, math.Nextafter(1, 0), 0.5, math.Nextafter(0.5, 0), 0x1p-53, 0x1p-1022, math.SmallestNonzeroFloat64}
+	for i, alpha := range paretoShapes {
+		p := NewPareto(alpha, 1)
+		if p.yf == 0 {
+			t.Fatalf("alpha %v: NewPareto kept math.Pow", alpha)
+		}
+		y := -1 / alpha
+		for _, u := range edges {
+			if got, want := powNegInv(u, p.yf), math.Pow(u, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha %v u %v: %v, math.Pow %v", alpha, u, got, want)
+			}
+		}
+		rng := NewRNG(uint64(i), 42)
+		for n := 0; n < draws; n++ {
+			u := 1 - rng.Float64()
+			if got, want := powNegInv(u, p.yf), math.Pow(u, y); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha %v draw %d u %v: %v, math.Pow %v", alpha, n, u, got, want)
+			}
+		}
+		lit := Pareto{Alpha: p.Alpha, Xm: p.Xm}
+		a, b := NewRNG(uint64(i), 43), NewRNG(uint64(i), 43)
+		for n := 0; n < 1000; n++ {
+			if got, want := p.Next(a), lit.Next(b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha %v draw %d: Next %v, literal %v", alpha, n, got, want)
+			}
+		}
+	}
+	for _, alpha := range []float64{2, 2.5, 3} {
+		if p := NewPareto(alpha, 1); p.yf != 0 {
+			t.Errorf("alpha %v: yf %v, want math.Pow kept", alpha, p.yf)
+		}
+	}
+}
+
+// TestParetoNextMatchesPow checks the Pow replay on 200k draws a shape;
+// the fullsweep build checks 50M (make differential).
+func TestParetoNextMatchesPow(t *testing.T) { checkParetoMatchesPow(t, 200_000) }

@@ -247,7 +247,9 @@ type PathConfig struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Telemetry, if set, observes every hop live, aggregated across the
-	// path (see NewTelemetry).
+	// path (see NewTelemetry). The hops are simulated one after another,
+	// so a live reader sees them finish in path order, and a delay sum
+	// may differ in its last bits from one taken in event order.
 	Telemetry *Telemetry
 }
 
