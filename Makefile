@@ -148,4 +148,3 @@ stress-full:
 
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt

@@ -39,7 +39,7 @@ import (
 
 	"pdds"
 	"pdds/internal/cliutil"
-	"pdds/internal/netio"
+	"pdds/internal/loadgen"
 )
 
 func main() {
@@ -120,9 +120,6 @@ type loadReport struct {
 
 // soak runs one loopback load test: sink ← forwarder ← paced sender.
 func soak(cfg loadConfig) (loadReport, error) {
-	if cfg.Size < netio.HeaderLen {
-		return loadReport{}, fmt.Errorf("datagram size %d below header length %d", cfg.Size, netio.HeaderLen)
-	}
 	if cfg.Classes < 1 || cfg.Classes > 64 {
 		return loadReport{}, fmt.Errorf("classes %d out of range [1,64]", cfg.Classes)
 	}
@@ -140,10 +137,8 @@ func soak(cfg loadConfig) (loadReport, error) {
 	if err != nil {
 		return loadReport{}, err
 	}
-	defer sinkConn.Close()
-	// Best effort: a deep kernel buffer so the sink never back-pressures
-	// the measurement.
-	sinkConn.SetReadBuffer(4 << 20)
+	sink := loadgen.NewSink(sinkConn, cfg.Classes, cfg.Size)
+	defer sink.Close()
 
 	// Multi-flow mode: bind the per-flow sender sockets first so their
 	// source ports are known, then generate a class config whose filters
@@ -185,84 +180,15 @@ func soak(cfg loadConfig) (loadReport, error) {
 	}
 	defer fwd.Close()
 
-	// Sink reader: counts per class, sums one-way delays, tracks the
-	// busy period (first→last datagram) and wire bytes after the first.
-	type sinkStats struct {
-		count       uint64
-		bytes       int // wire bytes excluding the first datagram
-		first, last time.Time
-		perClass    []uint64
-		delaySum    []float64
-	}
-	sinkDone := make(chan sinkStats, 1)
-	go func() {
-		st := sinkStats{perClass: make([]uint64, cfg.Classes), delaySum: make([]float64, cfg.Classes)}
-		buf := make([]byte, 64*1024)
-		for {
-			n, _, err := sinkConn.ReadFromUDP(buf)
-			if err != nil {
-				sinkDone <- st
-				return
-			}
-			now := time.Now()
-			if st.count == 0 {
-				st.first = now
-			} else {
-				st.bytes += n
-			}
-			st.last = now
-			st.count++
-			if h, _, err := netio.Decode(buf[:n]); err == nil && int(h.Class) < cfg.Classes {
-				st.perClass[h.Class]++
-				st.delaySum[h.Class] += now.Sub(h.SentAt).Seconds()
-			}
-		}
-	}()
-
-	send, err := net.Dial("udp", fwd.Addr().String())
+	sent, err := loadgen.Sender{
+		Classes:  cfg.Classes,
+		Size:     cfg.Size,
+		Bps:      cfg.Offered * cfg.RateBps,
+		Duration: cfg.Duration,
+		Flows:    flowConns,
+	}.Send(fwd.Addr().String())
 	if err != nil {
 		return loadReport{}, err
-	}
-	defer send.Close()
-	fwdAddr, err := net.ResolveUDPAddr("udp", fwd.Addr().String())
-	if err != nil {
-		return loadReport{}, err
-	}
-
-	// Paced sender: offered load = Offered × RateBps, round-robin over
-	// classes, absolute-clock pacing (send gaps don't accumulate drift).
-	// In multi-flow mode each class's datagrams rotate over its flow
-	// sockets and go out untagged — the forwarder must classify them.
-	var sent uint64
-	payload := make([]byte, cfg.Size-netio.HeaderLen)
-	gap := time.Duration(float64(cfg.Size*8) / (cfg.Offered * cfg.RateBps) * float64(time.Second))
-	stopAt := time.Now().Add(cfg.Duration)
-	next := time.Now()
-	for seq := uint64(0); time.Now().Before(stopAt); seq++ {
-		class := seq % uint64(cfg.Classes)
-		wireClass := uint8(class)
-		if flowConns != nil {
-			wireClass = pdds.ClassUnspecified
-		}
-		dg := netio.Header{
-			Class:  wireClass,
-			Seq:    seq,
-			SentAt: time.Now(),
-		}.Encode(nil)
-		dg = append(dg, payload...)
-		if flowConns != nil {
-			conn := flowConns[class][(seq/uint64(cfg.Classes))%uint64(cfg.FlowsPerClass)]
-			if _, err := conn.WriteToUDP(dg, fwdAddr); err != nil {
-				return loadReport{}, fmt.Errorf("flow sender: %w", err)
-			}
-		} else if _, err := send.Write(dg); err != nil {
-			return loadReport{}, fmt.Errorf("sender: %w", err)
-		}
-		sent++
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
 	}
 
 	// Let the forwarder drain its backlog at the egress rate, bounded by
@@ -285,11 +211,7 @@ func soak(cfg loadConfig) (loadReport, error) {
 	}
 	st := fwd.Stats()
 
-	// Give in-flight datagrams a moment to land at the sink, then close
-	// it; the reader hands back its stats on the read error.
-	time.Sleep(250 * time.Millisecond)
-	sinkConn.Close()
-	sst := <-sinkDone
+	sst := sink.Drain(st.Forwarded, time.Second)
 
 	rep := loadReport{
 		ConfigRateBps: cfg.RateBps,
@@ -300,7 +222,7 @@ func soak(cfg loadConfig) (loadReport, error) {
 		BadHeader:     st.BadHeader,
 		BadClass:      st.BadClass,
 		Unaccounted:   st.Unaccounted(),
-		SinkCount:     sst.count,
+		SinkCount:     sst.Count,
 		Flows:         cfg.FlowsPerClass * cfg.Classes,
 		DelayRatios:   fwd.DelayRatios(),
 	}
@@ -315,8 +237,8 @@ func soak(cfg loadConfig) (loadReport, error) {
 			DelayMean: c.DelayMean,
 			DelayP95:  c.DelayP95,
 		}
-		if c.Class < len(sst.perClass) {
-			cr.Received = sst.perClass[c.Class]
+		if c.Class < len(sst.Delay) {
+			cr.Received = uint64(sst.Delay[c.Class].Len())
 		}
 		rep.Classes = append(rep.Classes, cr)
 	}
@@ -326,13 +248,13 @@ func soak(cfg loadConfig) (loadReport, error) {
 			rep.TargetRatios[i] = cfg.SDP[i+1] / cfg.SDP[i]
 		}
 	}
-	if sst.count >= 2 {
-		rep.BusyPeriod = sst.last.Sub(sst.first)
-		rep.AchievedRateBps = float64(sst.bytes) * 8 / rep.BusyPeriod.Seconds()
+	if sst.Count >= 2 {
+		rep.BusyPeriod = sst.Last.Sub(sst.First)
+		rep.AchievedRateBps = float64(sst.Bytes) * 8 / rep.BusyPeriod.Seconds()
 		rep.RateDeviation = rep.AchievedRateBps/cfg.RateBps - 1
 		// Like the byte rate, the first datagram opens the busy period and
 		// is excluded from the numerator.
-		rep.AchievedPps = float64(sst.count-1) / rep.BusyPeriod.Seconds()
+		rep.AchievedPps = float64(sst.Count-1) / rep.BusyPeriod.Seconds()
 	}
 	return rep, nil
 }

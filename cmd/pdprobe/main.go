@@ -11,14 +11,6 @@
 // pdprobe and pdfwd share the same clock only when run on the same host;
 // across hosts the delays include clock offset (ratios remain meaningful
 // if the offset is small relative to queueing).
-//
-// With -bounds the probe runs entirely offline instead: it prints the
-// network-calculus service curve and worst-case delay bound per class
-// for a round-robin scheduler (-sched drr|wfq|iwrr) against a
-// token-bucket arrival envelope, using the same analysis that certifies
-// the conformance scenarios (internal/netcalc):
-//
-//	pdprobe -bounds -sched drr -sdp 1,2,4,8 -burst 3000 -arr 2.5
 package main
 
 import (
@@ -26,19 +18,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"os"
 	"text/tabwriter"
 	"time"
 
-	"pdds"
-	"pdds/internal/cliutil"
-	"pdds/internal/conformance"
-	"pdds/internal/core"
-	"pdds/internal/link"
-	"pdds/internal/netcalc"
-	"pdds/internal/stats"
+	"pdds/internal/loadgen"
 )
 
 func main() {
@@ -80,19 +65,9 @@ func run(args []string, stdout io.Writer) error {
 		count    = fs.Int("count", 100, "datagrams per class")
 		size     = fs.Int("size", 128, "datagram size including 18-byte header")
 		timeout  = fs.Duration("timeout", 30*time.Second, "receive deadline")
-
-		bounds = fs.Bool("bounds", false, "print analytic per-class delay bounds instead of probing")
-		sched  = fs.String("sched", "drr", "scheduler for -bounds: drr, wfq or iwrr")
-		sdpArg = fs.String("sdp", "1,2,4,8", "per-class weights for -bounds")
-		rate   = fs.Float64("rate", link.PaperLinkRate, "link rate in bytes per time unit for -bounds")
-		burst  = fs.Float64("burst", 3000, "arrival token-bucket burst in bytes for -bounds")
-		arr    = fs.Float64("arr", 0, "arrival token-bucket rate in bytes per time unit for -bounds")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *bounds {
-		return runBounds(stdout, *sched, *sdpArg, *rate, *burst, *arr)
 	}
 	if *classes < 1 || *classes > 64 {
 		return fmt.Errorf("-classes %d out of range", *classes)
@@ -105,45 +80,21 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("bind receiver: %w", err)
 	}
-	defer recv.Close()
-
-	send, err := net.Dial("udp", *sendAddr)
-	if err != nil {
-		return fmt.Errorf("dial forwarder: %w", err)
-	}
-	defer send.Close()
+	sink := loadgen.NewSink(recv, *classes, *size)
+	defer sink.Close()
 
 	// Send an interleaved burst so all classes compete for the egress.
-	payload := make([]byte, *size-18)
-	total := *classes * *count
-	for i := 0; i < *count; i++ {
-		for c := 0; c < *classes; c++ {
-			dg := pdds.EncodeDatagram(uint8(c), uint64(i), payload)
-			if _, err := send.Write(dg); err != nil {
-				return fmt.Errorf("send: %w", err)
-			}
-		}
+	total := uint64(*classes * *count)
+	if _, err := (loadgen.Sender{Classes: *classes, Size: *size, Count: total}).Send(*sendAddr); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "sent %d datagrams (%d per class) to %s\n", total, *count, *sendAddr)
 
-	samples := make([]stats.Sample, *classes)
-	buf := make([]byte, 64*1024)
-	received := 0
-	recv.SetReadDeadline(time.Now().Add(*timeout))
-	for received < total {
-		n, _, err := recv.ReadFromUDP(buf)
-		if err != nil {
-			fmt.Fprintf(stdout, "receive stopped after %d/%d datagrams: %v\n", received, total, err)
-			break
-		}
-		class, _, sentAt, _, err := pdds.DecodeDatagram(buf[:n])
-		if err != nil || int(class) >= *classes {
-			continue
-		}
-		samples[class].Add(time.Since(sentAt).Seconds())
-		received++
+	st := sink.Drain(total, *timeout)
+	if st.Count < total {
+		fmt.Fprintf(stdout, "receive stopped after %d/%d datagrams: timeout %v\n", st.Count, total, *timeout)
 	}
-	if received == 0 {
+	if st.Count == 0 {
 		return fmt.Errorf("nothing received — is pdfwd running and forwarding to -recv?")
 	}
 
@@ -151,7 +102,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintln(w, "class\treceived\tmean\tp50\tp95")
 	means := make([]float64, *classes)
 	for c := 0; c < *classes; c++ {
-		s := &samples[c]
+		s := &st.Delay[c]
 		if s.Len() == 0 {
 			fmt.Fprintf(w, "%d\t0\t-\t-\t-\n", c+1)
 			continue
@@ -171,54 +122,4 @@ func run(args []string, stdout io.Writer) error {
 
 func fmtDur(seconds float64) string {
 	return time.Duration(seconds * float64(time.Second)).Round(10 * time.Microsecond).String()
-}
-
-// runBounds prints each class's guaranteed service share, latency and
-// worst-case delay bound for the given round-robin discipline against a
-// common token-bucket arrival envelope — the offline face of the
-// conformance suite's analytic certification axis. Times are in the
-// simulation's abstract time units; with the default paper link rate
-// one unit carries PUnit bytes.
-func runBounds(stdout io.Writer, sched, sdpArg string, rate, burst, arr float64) error {
-	sdp, err := cliutil.ParseFloats(sdpArg)
-	if err != nil {
-		return fmt.Errorf("-sdp: %w", err)
-	}
-	if !(rate > 0) {
-		return fmt.Errorf("-rate %g must be > 0", rate)
-	}
-	if burst < 0 || arr < 0 {
-		return fmt.Errorf("-burst and -arr must be >= 0")
-	}
-	kind := core.Kind(sched)
-	// Paper packet sizes: the smallest/largest datagrams every class mixes.
-	lmin := make([]float64, len(sdp))
-	lmax := make([]float64, len(sdp))
-	for i := range sdp {
-		lmin[i], lmax[i] = 40, 1500
-	}
-	envelope := netcalc.TokenBucket(burst, arr)
-
-	fmt.Fprintf(stdout, "analytic delay bounds: sched=%s rate=%.4g B/tu arrival=(burst %.4g B, rate %.4g B/tu)\n",
-		sched, rate, burst, arr)
-	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "class\tweight\tshare B/tu\tlatency tu\tbound tu")
-	for i := range sdp {
-		curve, err := conformance.ServiceCurve(kind, sdp, rate, lmin, lmax, i)
-		if err != nil {
-			return err
-		}
-		bound := netcalc.HorizontalDeviation(envelope, curve)
-		fmt.Fprintf(w, "%d\t%.4g\t%.4g\t%.4g\t%s\n",
-			i+1, sdp[i], curve.Rate, curve.Inverse(1e-9), fmtBound(bound))
-	}
-	return w.Flush()
-}
-
-// fmtBound renders a delay bound, spelling out the unbounded case.
-func fmtBound(b float64) string {
-	if math.IsInf(b, 1) {
-		return "unbounded"
-	}
-	return fmt.Sprintf("%.4g", b)
 }

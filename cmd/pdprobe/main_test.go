@@ -104,61 +104,11 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-// TestRunBounds exercises the offline certification mode: the table must
-// list every class with its share and a finite bound when the arrival
-// envelope fits inside the guaranteed rate.
-func TestRunBounds(t *testing.T) {
-	for _, sched := range []string{"drr", "wfq", "iwrr"} {
-		var out strings.Builder
-		err := run([]string{"-bounds", "-sched", sched, "-sdp", "1,2,4,8",
-			"-burst", "3000", "-arr", "0.05"}, &out)
-		if err != nil {
-			t.Fatalf("%s: %v", sched, err)
-		}
-		got := out.String()
-		for _, want := range []string{
-			"sched=" + sched,
-			"class", "share B/tu", "bound tu",
-			"\n4", // the last class row
-		} {
-			if !strings.Contains(got, want) {
-				t.Errorf("%s output missing %q:\n%s", sched, want, got)
-			}
-		}
-		if strings.Contains(got, "unbounded") {
-			t.Errorf("%s: tiny envelope reported unbounded:\n%s", sched, got)
-		}
-		if strings.Contains(got, "NaN") {
-			t.Errorf("%s: NaN in output:\n%s", sched, got)
-		}
-	}
-}
-
-// TestRunBoundsUnbounded pins the explicit overload report: an arrival
-// rate above the link rate can never be bounded.
-func TestRunBoundsUnbounded(t *testing.T) {
-	var out strings.Builder
-	if err := run([]string{"-bounds", "-arr", "1000"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "unbounded") {
-		t.Errorf("overload not reported unbounded:\n%s", out.String())
-	}
-}
-
-func TestRunBoundsErrors(t *testing.T) {
-	cases := [][]string{
-		{"-bounds", "-sdp", "x"},
-		{"-bounds", "-sdp", ""},
-		{"-bounds", "-rate", "0"},
-		{"-bounds", "-burst", "-1"},
-		{"-bounds", "-arr", "-1"},
-		{"-bounds", "-sched", "wtp"},  // no closed-form strict service curve
-		{"-bounds", "-sched", "nope"}, // unknown discipline
-	}
-	for _, args := range cases {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("run(%v) accepted", args)
-		}
+// TestRunBadRecvAddr fails before sending anything when the receive
+// address cannot be bound.
+func TestRunBadRecvAddr(t *testing.T) {
+	err := run([]string{"-recv", "127.0.0.1:notaport"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "bind receiver") {
+		t.Errorf("want a bind receiver error, got %v", err)
 	}
 }

@@ -2,9 +2,15 @@
 // prints per-class queueing-delay statistics and the successive-class delay
 // ratios.
 //
-// Example:
+// With -bounds it simulates nothing and prints instead each class's
+// network-calculus service curve and worst-case delay bound under
+// -sched drr|wfq|iwrr on the paper's link for a token-bucket arrival
+// envelope: the analysis that certifies the conformance scenarios.
+//
+// Examples:
 //
 //	pdsim -sched wtp -rho 0.95 -sdp 1,2,4,8 -horizon 1e6
+//	pdsim -bounds -sched drr -sdp 1,2,4,8 -burst 3000 -arr 2.5
 package main
 
 import (
@@ -12,11 +18,16 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"text/tabwriter"
 
 	"pdds"
 	"pdds/internal/cliutil"
+	"pdds/internal/conformance"
+	"pdds/internal/core"
+	"pdds/internal/link"
+	"pdds/internal/netcalc"
 )
 
 func main() {
@@ -31,7 +42,7 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("pdsim", flag.ContinueOnError)
 	var (
-		sched     = fs.String("sched", "wtp", "scheduler: wtp|bpr|fcfs|strict|wfq|drr|additive|pad|hpd")
+		sched     = fs.String("sched", "wtp", "scheduler: wtp|bpr|fcfs|strict|wfq|drr|iwrr|additive|pad|hpd (-bounds: drr|wfq|iwrr)")
 		sdpStr    = fs.String("sdp", "1,2,4,8", "scheduler differentiation parameters, one per class")
 		rho       = fs.Float64("rho", 0.95, "offered utilization (0,1]")
 		fractions = fs.String("fractions", "0.40,0.30,0.20,0.10", "class load distribution (sums to 1)")
@@ -40,6 +51,9 @@ func run(args []string, stdout io.Writer) error {
 		seed      = fs.Uint64("seed", 1, "random seed")
 		poisson   = fs.Bool("poisson", false, "exponential instead of Pareto interarrivals")
 		alpha     = fs.Float64("alpha", 1.9, "Pareto shape parameter")
+		bounds    = fs.Bool("bounds", false, "print analytic per-class delay bounds instead of simulating")
+		burst     = fs.Float64("burst", 3000, "arrival token-bucket burst in bytes for -bounds")
+		arr       = fs.Float64("arr", 0, "arrival token-bucket rate in bytes per time unit for -bounds")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -48,6 +62,9 @@ func run(args []string, stdout io.Writer) error {
 	sdp, err := cliutil.ParseFloats(*sdpStr)
 	if err != nil {
 		return fmt.Errorf("-sdp: %w", err)
+	}
+	if *bounds {
+		return runBounds(stdout, *sched, sdp, *burst, *arr)
 	}
 	frac, err := cliutil.ParseFloats(*fractions)
 	if err != nil {
@@ -86,4 +103,46 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "dropped=%d\n", rep.Dropped)
 	}
 	return nil
+}
+
+// runBounds prints each class's guaranteed service share, latency and
+// worst-case delay bound for the given round-robin discipline on the
+// paper's link against a common token-bucket arrival envelope — the
+// offline face of the conformance suite's analytic certification axis.
+// Times are in the simulation's abstract time units; one unit carries
+// PUnit bytes at the paper's link rate.
+func runBounds(stdout io.Writer, sched string, sdp []float64, burst, arr float64) error {
+	if burst < 0 || arr < 0 {
+		return fmt.Errorf("-burst and -arr must be >= 0")
+	}
+	// Paper packet sizes: the smallest/largest datagrams every class mixes.
+	lmin := make([]float64, len(sdp))
+	lmax := make([]float64, len(sdp))
+	for i := range sdp {
+		lmin[i], lmax[i] = 40, 1500
+	}
+	envelope := netcalc.TokenBucket(burst, arr)
+
+	fmt.Fprintf(stdout, "analytic delay bounds: sched=%s rate=%.4g B/tu arrival=(burst %.4g B, rate %.4g B/tu)\n",
+		sched, link.PaperLinkRate, burst, arr)
+	w := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "class\tweight\tshare B/tu\tlatency tu\tbound tu")
+	for i := range sdp {
+		curve, err := conformance.ServiceCurve(core.Kind(sched), sdp, link.PaperLinkRate, lmin, lmax, i)
+		if err != nil {
+			return err
+		}
+		bound := netcalc.HorizontalDeviation(envelope, curve)
+		fmt.Fprintf(w, "%d\t%.4g\t%.4g\t%.4g\t%s\n",
+			i+1, sdp[i], curve.Rate, curve.Inverse(1e-9), fmtBound(bound))
+	}
+	return w.Flush()
+}
+
+// fmtBound renders a delay bound, spelling out the unbounded case.
+func fmtBound(b float64) string {
+	if math.IsInf(b, 1) {
+		return "unbounded"
+	}
+	return fmt.Sprintf("%.4g", b)
 }

@@ -3,10 +3,10 @@ package chaos
 import (
 	"fmt"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"pdds/internal/core"
+	"pdds/internal/loadgen"
 	"pdds/internal/netio"
 )
 
@@ -99,16 +99,13 @@ func RunNet(plan NetPlan) (*NetResult, error) {
 	if p.Name == "" {
 		return nil, fmt.Errorf("chaos: net plan has no name")
 	}
-	if p.Size < netio.HeaderLen {
-		return nil, fmt.Errorf("chaos: net plan %q: size %d below header length", p.Name, p.Size)
-	}
 
 	sinkConn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		return nil, err
 	}
-	defer sinkConn.Close()
-	sinkConn.SetReadBuffer(4 << 20)
+	sink := loadgen.NewSink(sinkConn, len(p.SDP), p.Size)
+	defer sink.Close()
 
 	var cfg netio.Config
 	cfg.Listen = "127.0.0.1:0"
@@ -128,54 +125,13 @@ func RunNet(plan NetPlan) (*NetResult, error) {
 	}
 	defer fwd.Close()
 
-	// Sink reader: counts wire-visible disturbances — undecodable
-	// datagrams, short datagrams, and sequence regressions per class
-	// (duplication and reordering both regress the per-class sequence).
-	var sinkBad, sinkRegress atomic.Uint64
-	sinkDone := make(chan struct{})
-	go func() {
-		defer close(sinkDone)
-		buf := make([]byte, 64*1024)
-		lastSeq := make(map[uint8]uint64)
-		for {
-			n, _, err := sinkConn.ReadFromUDP(buf)
-			if err != nil {
-				return
-			}
-			h, _, derr := netio.Decode(buf[:n])
-			if derr != nil || n < p.Size {
-				sinkBad.Add(1)
-				continue
-			}
-			if last, ok := lastSeq[h.Class]; ok && h.Seq <= last {
-				sinkRegress.Add(1)
-			} else {
-				lastSeq[h.Class] = h.Seq
-			}
-		}
-	}()
-
-	send, err := net.Dial("udp", fwd.LocalAddr().String())
-	if err != nil {
-		return nil, err
-	}
-	defer send.Close()
-
-	classes := len(p.SDP)
-	payload := make([]byte, p.Size-netio.HeaderLen)
-	gap := time.Duration(float64(p.Size*8) / (p.Offered * p.RateBps) * float64(time.Second))
-	stopAt := time.Now().Add(p.Duration)
-	next := time.Now()
-	for seq := uint64(0); time.Now().Before(stopAt); seq++ {
-		dg := netio.Header{Class: uint8(seq % uint64(classes)), Seq: seq, SentAt: time.Now()}.Encode(nil)
-		dg = append(dg, payload...)
-		if _, err := send.Write(dg); err != nil {
-			return nil, fmt.Errorf("chaos: sender: %w", err)
-		}
-		next = next.Add(gap)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
+	if _, err := (loadgen.Sender{
+		Classes:  len(p.SDP),
+		Size:     p.Size,
+		Bps:      p.Offered * p.RateBps,
+		Duration: p.Duration,
+	}).Send(fwd.LocalAddr().String()); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
 
 	if err := fwd.Close(); err != nil {
@@ -183,17 +139,16 @@ func RunNet(plan NetPlan) (*NetResult, error) {
 	}
 	st := fwd.Stats()
 
-	// Let in-flight datagrams land, then stop the sink reader.
-	time.Sleep(200 * time.Millisecond)
-	sinkConn.Close()
-	<-sinkDone
+	// Give the forwarded datagrams up to a second to land: a held-back
+	// reordered datagram may never be emitted.
+	sst := sink.Drain(st.Forwarded, time.Second)
 
 	res := &NetResult{
 		Plan:           p.Name,
 		Conserved:      st.Queued == 0 && st.Unaccounted() == 0,
 		ForwardedSome:  st.Forwarded > 0,
 		AllDropped:     st.Forwarded == 0 && st.Received > 0,
-		SinkDisturbed:  sinkBad.Load() > 0 || sinkRegress.Load() > 0,
+		SinkDisturbed:  sst.Bad > 0 || sst.Regressions > 0,
 		FaultsInjected: p.Fault != nil && p.Fault.Injected() > 0,
 	}
 	if !res.Conserved {
