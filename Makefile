@@ -6,7 +6,7 @@ GO ?= go
 # numbers (e.g. BENCHTIME=5s).
 BENCHTIME ?= 1s
 
-.PHONY: all build vet test test-short race bench cover conformance certify control golden-update differential experiments experiments-quick fuzz fuzz-smoke soak soak-sharded stress stress-full clean
+.PHONY: all build vet test test-short race bench cover conformance certify control golden-update differential experiments experiments-quick results-check fuzz fuzz-smoke soak soak-sharded stress stress-full clean
 
 # `test` and `race` already run every test the verbose conformance,
 # certify and control views select, so `all` does not repeat them.
@@ -65,6 +65,16 @@ experiments:
 
 experiments-quick:
 	$(GO) run ./cmd/pdexp -exp all -scale quick -out results/
+
+# Regenerate every result at full fidelity into a fresh temporary directory
+# and diff it against the committed results/ (README.md and the wall-time
+# report.json excepted). Run it after any change under internal/{sim,
+# traffic,link,network,core,experiments}; a difference keeps the directory
+# and names it. Not part of `all` (≈ 1.5 min on 2 CPUs).
+results-check:
+	@out=$$(mktemp -d) && $(GO) run ./cmd/pdexp -exp all -scale full -out "$$out" >/dev/null && \
+	if diff -r -x README.md -x report.json results "$$out"; then rm -rf "$$out"; \
+	else echo "results-check: regenerated results differ; kept in $$out"; exit 1; fi
 
 # Scheduler invariant oracles, differential tests and golden traces
 # (see TESTING.md). Verbose so each scheduler/scenario pair is visible.

@@ -1,12 +1,14 @@
 // Command pdprobe measures a pdfwd forwarder: it binds a local receiver,
-// blasts classed datagrams at the forwarder's ingress, and reports
-// per-class one-way delay statistics at the receiver, computing the
-// observed differentiation ratios.
+// sends classed datagrams at the forwarder's ingress, paced to -rate bits
+// per second (unpaced at 0), and reports how many were lost and per-class
+// one-way delay statistics of the rest, computing the observed
+// differentiation ratios. An unpaced burst overflows the kernel's receive
+// buffers on the way, and the table then describes only the survivors.
 //
 // Typical session (two terminals):
 //
 //	pdfwd   -listen 127.0.0.1:7000 -forward 127.0.0.1:7001 -rate 512000
-//	pdprobe -send 127.0.0.1:7000 -recv 127.0.0.1:7001 -classes 4 -count 100
+//	pdprobe -send 127.0.0.1:7000 -recv 127.0.0.1:7001 -classes 4 -count 100 -rate 480000
 //
 // pdprobe and pdfwd share the same clock only when run on the same host;
 // across hosts the delays include clock offset (ratios remain meaningful
@@ -64,6 +66,7 @@ func run(args []string, stdout io.Writer) error {
 		classes  = fs.Int("classes", 4, "number of classes to probe")
 		count    = fs.Int("count", 100, "datagrams per class")
 		size     = fs.Int("size", 128, "datagram size including 18-byte header")
+		rate     = fs.Float64("rate", 0, "send rate, bits per second (0: as fast as the socket takes them)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "receive deadline")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -75,6 +78,9 @@ func run(args []string, stdout io.Writer) error {
 	if *size < 18 {
 		return fmt.Errorf("-size must be >= 18 (header length)")
 	}
+	if !(*rate >= 0) {
+		return fmt.Errorf("-rate %g must be >= 0", *rate)
+	}
 
 	recv, err := listenUDPRetry(*recvAddr)
 	if err != nil {
@@ -83,17 +89,15 @@ func run(args []string, stdout io.Writer) error {
 	sink := loadgen.NewSink(recv, *classes, *size)
 	defer sink.Close()
 
-	// Send an interleaved burst so all classes compete for the egress.
+	// Interleave the classes so all of them compete for the egress.
 	total := uint64(*classes * *count)
-	if _, err := (loadgen.Sender{Classes: *classes, Size: *size, Count: total}).Send(*sendAddr); err != nil {
+	if _, err := (loadgen.Sender{Classes: *classes, Size: *size, Count: total, Bps: *rate}).Send(*sendAddr); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "sent %d datagrams (%d per class) to %s\n", total, *count, *sendAddr)
 
 	st := sink.Drain(total, *timeout)
-	if st.Count < total {
-		fmt.Fprintf(stdout, "receive stopped after %d/%d datagrams: timeout %v\n", st.Count, total, *timeout)
-	}
+	fmt.Fprintf(stdout, "lost %d of %d datagrams (receive timeout %v)\n", total-min(st.Count, total), total, *timeout)
 	if st.Count == 0 {
 		return fmt.Errorf("nothing received — is pdfwd running and forwarding to -recv?")
 	}

@@ -64,6 +64,42 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
+// TestRunPacedLosesNothing paces a probe below the forwarder's egress rate:
+// nothing overflows on the way, so every datagram comes back and the table
+// describes all of them.
+func TestRunPacedLosesNothing(t *testing.T) {
+	recvAddr := reservePort(t)
+	fwd, err := pdds.StartForwarderWithConfig(pdds.ForwarderConfig{
+		Listen:  "127.0.0.1:0",
+		Forward: recvAddr,
+		RateBps: 10e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+
+	var out strings.Builder
+	err = run([]string{
+		"-send", fwd.Addr().String(),
+		"-recv", recvAddr,
+		"-classes", "4", "-count", "50", "-size", "64",
+		"-rate", "2e6", "-timeout", "5s",
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	got := out.String()
+	if !strings.Contains(got, "lost 0 of 200 datagrams") {
+		t.Errorf("a paced probe lost datagrams:\n%s", got)
+	}
+	lost := strings.Index(got, "lost ")
+	table := strings.Index(got, "class  received")
+	if lost < 0 || table < lost {
+		t.Errorf("the loss line does not precede the table:\n%s", got)
+	}
+}
+
 // TestRunNothingReceived probes a forwarder whose egress points at a
 // blackhole port, not the probe's receiver: nothing comes back, and run
 // must report that as an error. (Sending straight to a dead ingress would
@@ -95,6 +131,8 @@ func TestRunErrors(t *testing.T) {
 		{"-classes", "0"},
 		{"-classes", "65"},
 		{"-size", "10"},
+		{"-rate", "-1"},
+		{"-rate", "NaN"},
 		{"-badflag"},
 	}
 	for _, args := range cases {

@@ -11,7 +11,7 @@ import "math"
 // α=1 would cancel the measured error exactly if the plant were ideal)
 // and λ·α² penalizes quantum movement — the anti-flap term that keeps
 // marginal errors from producing large quantum swings. J is a strictly
-// convex parabola, the shape Mukherjee, Saha and Tripathi establish for
+// convex parabola, the shape Mukherjee, Kuri and Singh establish for
 // the DRR quantum-assignment objective; convexity is what licenses a 1-D
 // line search instead of a global search over quantum vectors. The
 // unconstrained optimum is E/(E+λ); QuantumStep finds it by golden-

@@ -14,11 +14,14 @@ import (
 
 // This file is the shared replication runner: every experiment driver fans
 // its independent (seed, load-point, scheduler) runs out over a bounded
-// worker pool through ForEach. Parallelism never reaches inside a run —
-// each run owns a private engine, RNG streams and packet pool, so results
-// are bit-identical to a serial sweep — and reductions always happen in
-// job-index order after the pool drains, which keeps every figure and
-// table deterministic regardless of worker count.
+// worker pool through ForEach. Parallelism never reaches inside a run's
+// simulation — each run owns a private engine, RNG streams and packet pool,
+// so results are bit-identical to a serial sweep — and reductions always
+// happen in job-index order after the pool drains, which keeps every figure
+// and table deterministic regardless of worker count. The one goroutine
+// inside a run, network.Run's cross-traffic drawer, only computes draws
+// that are pure functions of (seed, hop, source) and hands them over in a
+// fixed order, and the run fails unless the simulation uses each exactly.
 
 // parallelism is the worker-pool width; 0 means runtime.GOMAXPROCS(0).
 var parallelism atomic.Int64

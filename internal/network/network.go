@@ -7,6 +7,7 @@ package network
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 
 	"pdds/internal/core"
@@ -56,10 +57,10 @@ type Config struct {
 	// Telemetry, if set, is attached to every hop's link: it aggregates
 	// arrivals, departures, drops and queueing delays per class across
 	// the whole path (live observability; see internal/telemetry). The
-	// hops run one after another (see Run), so a live observer sees hop 0
-	// reach each horizon before hop 1 starts, and a histogram's float Sum
-	// may differ in its last bits from a recording in event order; every
-	// counter and bucket is exact.
+	// hops take turns a slab of simulated time at a time (see Run), so a
+	// live observer sees hop 0 reach the end of each slab before hop 1
+	// enters it, and a histogram's float Sum may differ in its last bits
+	// from a recording in event order; every counter and bucket is exact.
 	Telemetry *telemetry.Registry
 }
 
@@ -91,8 +92,8 @@ func (c Config) Validate() error {
 	if !(cc.Rho > 0 && cc.Rho < 1) {
 		return fmt.Errorf("network: rho %g must be in (0,1)", cc.Rho)
 	}
-	if len(cc.SDP) < 2 {
-		return fmt.Errorf("network: need at least 2 classes")
+	if len(cc.SDP) < 2 || len(cc.SDP) > math.MaxUint8+1 {
+		return fmt.Errorf("network: %d classes, need 2 to %d", len(cc.SDP), math.MaxUint8+1)
 	}
 	if cc.FlowPackets < 1 || !(cc.FlowKbps > 0) {
 		return fmt.Errorf("network: bad flow spec F=%d Ru=%g", cc.FlowPackets, cc.FlowKbps)
@@ -156,9 +157,12 @@ type Result struct {
 //
 // The path is feed-forward: cross-traffic leaves after its one hop and user
 // packets only move downstream. So each hop runs on its own engine, and the
-// hops run in path order: hop h+1 replays hop h's recorded user departures
-// into its link (see hop.replay for why the result is exactly that of one
-// engine holding every hop).
+// hops take turns in path order, one slab of slabSec simulated seconds at a
+// time: hop h+1 replays hop h's recorded user departures of the slab into
+// its link (see hop.replay for why the result is exactly that of one engine
+// holding every hop). The cross traffic of each (hop, slab) is drawn one
+// such job ahead on a goroutine of its own (see drawer); the simulation
+// itself stays on the caller's goroutine.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -169,6 +173,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	return pa.run()
 }
+
+const (
+	// slabSec is the simulated time each hop advances before the next hop
+	// takes its turn: Study B's experiment period.
+	slabSec = 1.0
+	// Run's extend loop pushes an undelivered run's horizon extendSec on,
+	// at most maxExtends times.
+	extendSec  = 10.0
+	maxExtends = 20
+)
 
 // departure is a user packet leaving a hop that is not the last: what the
 // next hop needs to re-create it. The rest of a Packet is hop-local.
@@ -187,6 +201,8 @@ type path struct {
 	cfg  Config
 	hops []*hop
 	pool *core.PacketPool
+	// draw owns every cross source's draw state (see drawer).
+	draw drawer
 	// bufs alternate as hop h's departure log (bufs[h%2]) and hop h+1's
 	// input, so handing a user packet downstream allocates nothing.
 	bufs [2][]departure
@@ -194,7 +210,6 @@ type path struct {
 	flowIndex           map[uint64]*FlowStats
 	delivered, expected int
 	crossServed         uint64
-	flowDuration        float64
 	// chains numbers the chains of busy periods (see hop) path-wide.
 	chains uint64
 	// ties counts replayed departures that met an event of the receiving
@@ -209,6 +224,10 @@ type hop struct {
 	engine *sim.Engine
 	link   *link.Link
 	delays *stats.ClassDelays
+	cross  []crossSource
+	// overrun is set when a cross source meets an emission its window
+	// holds no draw for (see drained).
+	overrun bool
 	// out is the log the next hop replays; nil at the last hop, whose user
 	// departures are deliveries.
 	out *[]departure
@@ -241,15 +260,20 @@ func newPath(cfg Config) (*path, error) {
 	// One free list for the run. Every departure is the end of that
 	// packet object: cross traffic exits after its hop, and a user packet
 	// continues downstream as a departure record, so each link recycles.
-	userPackets := n * cfg.FlowPackets * cfg.Experiments
+	flowRateBytes := cfg.FlowKbps * 1000 / 8
+	flowDuration := float64(cfg.FlowPackets) * float64(cfg.PacketBytes) / flowRateBytes
 	pa := &path{
 		cfg:       cfg,
 		hops:      make([]*hop, cfg.Hops),
 		pool:      core.NewPacketPool(),
 		flowIndex: make(map[uint64]*FlowStats, n*cfg.Experiments),
 	}
+	// A log holds one slab's departures: those of the flows the slab
+	// overlaps, give or take queueing. A longer one grows once, then is
+	// reused.
+	flowsPerSlab := n * int(min(float64(cfg.Experiments), math.Ceil(flowDuration/slabSec)+1))
 	for b := 0; b < min(cfg.Hops-1, len(pa.bufs)); b++ {
-		pa.bufs[b] = make([]departure, 0, userPackets)
+		pa.bufs[b] = make([]departure, 0, flowsPerSlab*cfg.FlowPackets)
 	}
 	for i := range pa.hops {
 		sched, err := core.New(cfg.Scheduler, cfg.SDP, linkBytesPerSec)
@@ -268,29 +292,34 @@ func newPath(cfg Config) (*path, error) {
 	}
 
 	// Cross-traffic: C sources per hop, Pareto interarrivals, class
-	// drawn per packet from ClassMix.
+	// drawn per packet from ClassMix. Each source's first interarrival is
+	// drawn here; the drawer draws the rest.
 	perSourceBytes := crossBytesPerSec / float64(cfg.CrossSources)
 	meanInter := float64(cfg.PacketBytes) / perSourceBytes
+	pa.draw = drawer{
+		srcs:    make([][]crossDraw, cfg.Hops),
+		mix:     cumulativeMix(n),
+		horizon: cfg.WarmupSec + float64(cfg.Experiments) + flowDuration + 5,
+		// A slab's draws for one hop, presized a quarter above their mean.
+		setCap: int(min(1.25*slabSec*crossBytesPerSec/float64(cfg.PacketBytes), 1<<20)),
+	}
 	for i, h := range pa.hops {
-		sink := h.arriveLocal
-		for s := 0; s < cfg.CrossSources; s++ {
-			src := &crossSource{
-				engine: h.engine,
-				inter:  traffic.NewPareto(cfg.Alpha, meanInter),
-				size:   cfg.PacketBytes,
-				mix:    cumulativeMix(n),
-				rng:    traffic.NewRNG(cfg.Seed, uint64(i*1000+s+1)),
-				sink:   sink,
-				pool:   pa.pool,
-				id:     uint64(i*cfg.CrossSources+s+1) << 40,
-			}
-			src.start()
+		srcs := make([]crossDraw, cfg.CrossSources)
+		h.cross = make([]crossSource, cfg.CrossSources)
+		for s := range srcs {
+			d := &srcs[s]
+			d.rng = traffic.NewRNG(cfg.Seed, uint64(i*1000+s+1))
+			d.inter = traffic.NewPareto(cfg.Alpha, meanInter)
+			d.next = d.inter.Next(d.rng)
+			src := &h.cross[s]
+			src.hop, src.id = h, uint64(i*cfg.CrossSources+s+1)<<40
+			h.engine.AtFunc(d.next, crossEmit, src)
 		}
+		pa.draw.srcs[i] = srcs
 	}
 
 	// User experiments: every second starting after warm-up, one flow
 	// per class, entering hop 0.
-	flowRateBytes := cfg.FlowKbps * 1000 / 8
 	entry := pa.hops[0]
 	sink := entry.arriveLocal
 	for m := 0; m < cfg.Experiments; m++ {
@@ -310,7 +339,6 @@ func newPath(cfg Config) (*path, error) {
 			pa.expected += cfg.FlowPackets
 		}
 	}
-	pa.flowDuration = float64(cfg.FlowPackets) * float64(cfg.PacketBytes) / flowRateBytes
 	return pa, nil
 }
 
@@ -319,16 +347,22 @@ func (pa *path) run() (*Result, error) {
 	cfg := pa.cfg
 	n := len(cfg.SDP)
 
+	pa.draw.start()
+	defer pa.draw.stop()
 	// Run until every user packet is delivered (plus slack for queue
-	// drain). The last flow starts at warmup+M-1 and lasts
-	// F·gap seconds; delays are far below a second per hop at these
-	// loads, but allow a generous margin and extend if needed.
-	horizon := cfg.WarmupSec + float64(cfg.Experiments) + pa.flowDuration + 5
-	for extend := 0; extend < 20 && pa.delivered < pa.expected; extend++ {
-		if err := pa.runUntil(horizon); err != nil {
-			return nil, err
+	// drain). The first horizon is where the last flow, starting at
+	// warmup+M-1 and lasting F·gap seconds, has had 5 s more; delays are
+	// far below a second per hop at these loads, but the loop extends the
+	// horizon if needed.
+	sl := slabs{horizon: pa.draw.horizon}
+	for extend := 0; extend < maxExtends && pa.delivered < pa.expected; extend++ {
+		for last := false; !last; {
+			var end float64
+			end, last = sl.next()
+			if err := pa.runSlab(end); err != nil {
+				return nil, err
+			}
 		}
-		horizon += 10
 	}
 	if pa.delivered < pa.expected {
 		return nil, fmt.Errorf("network: only %d of %d user packets delivered; path saturated", pa.delivered, pa.expected)
@@ -369,10 +403,32 @@ func (pa *path) run() (*Result, error) {
 	return res, nil
 }
 
-// runUntil advances every hop through horizon, in path order: each hop
-// first replays what its upstream hop logged in this round.
-func (pa *path) runUntil(horizon float64) error {
+// slabs walks the ends of Run's slabs: each whole multiple of slabSec
+// before a horizon, then the horizon, which then moves extendSec on. The
+// simulation and the drawer each walk a copy, so both cut the run at the
+// same instants. Running an engine to a slab's end and then on to the
+// horizon executes the events that running it to the horizon at once
+// would, in the same order.
+type slabs struct{ from, horizon float64 }
+
+// next returns the next slab's end, and whether it is a horizon.
+func (s *slabs) next() (end float64, horizon bool) {
+	end = min((math.Floor(s.from/slabSec)+1)*slabSec, s.horizon)
+	s.from = end
+	if end == s.horizon {
+		s.horizon += extendSec
+		return end, true
+	}
+	return end, false
+}
+
+// runSlab advances every hop through end, in path order: each hop takes
+// its cross draws for the slab, replays what its upstream hop logged in
+// it, and must use its draws exactly.
+func (pa *path) runSlab(end float64) error {
 	for i, h := range pa.hops {
+		set := <-pa.draw.ready
+		h.load(set)
 		if h.out != nil {
 			*h.out = (*h.out)[:0]
 		}
@@ -381,7 +437,11 @@ func (pa *path) runUntil(horizon float64) error {
 				return err
 			}
 		}
-		h.engine.RunUntil(horizon)
+		h.engine.RunUntil(end)
+		if err := h.drained(end); err != nil {
+			return err
+		}
+		pa.draw.free <- set
 	}
 	return nil
 }
@@ -524,48 +584,175 @@ func (r *Result) computeMetrics(n int) {
 	}
 }
 
-// crossSource emits fixed-size packets with Pareto interarrivals and a
-// random class per packet. Packets come from the run's free list and
-// scheduling uses the closure-free AtFunc path, so steady-state emission
-// allocates nothing.
+// drawer draws the run's cross traffic on a goroutine of its own, one
+// (hop, slab) job ahead of the simulation and in its order: slab by slab,
+// each slab hop by hop. Two sets circulate between them, so the simulation
+// runs a job over one while the drawer fills the next; each set moves over
+// a channel, which orders every access to it.
+//
+// The draws are pure functions of (seed, hop, source) and the slab ends,
+// never of the simulation, so drawing them elsewhere changes no result.
+// Once start runs, srcs belongs to the drawer's goroutine alone.
+type drawer struct {
+	srcs [][]crossDraw // [hop][source]
+	// mix is the cumulative class mix, shared by every source.
+	mix []float64
+	// horizon is Run's first horizon.
+	horizon float64
+	setCap  int
+
+	ready, free  chan *drawSet
+	done, exited chan struct{}
+}
+
+// crossDraw is one cross source's draw state: its RNG stream, its Pareto
+// interarrivals, and next, the instant of its next emission.
+type crossDraw struct {
+	rng   *rand.Rand
+	inter traffic.Pareto
+	next  float64
+}
+
+// drawSet is one (hop, slab) job's cross traffic: for each emission of
+// the slab, source by source and in emission order, the packet's class and
+// the interarrival to the source's next emission. Source s's window is
+// [off[s], off[s+1]).
+type drawSet struct {
+	inter []float64
+	class []uint8
+	off   []int
+}
+
+// start launches the drawing goroutine. stop must follow.
+func (d *drawer) start() {
+	d.ready = make(chan *drawSet)
+	d.free = make(chan *drawSet, 2)
+	d.done = make(chan struct{})
+	d.exited = make(chan struct{})
+	for range 2 {
+		d.free <- &drawSet{
+			inter: make([]float64, 0, d.setCap),
+			class: make([]uint8, 0, d.setCap),
+			off:   make([]int, 0, len(d.srcs[0])+1),
+		}
+	}
+	go d.loop()
+}
+
+// stop ends the drawing goroutine and waits until it has.
+func (d *drawer) stop() {
+	close(d.done)
+	<-d.exited
+}
+
+func (d *drawer) loop() {
+	defer close(d.exited)
+	sl := slabs{horizon: d.horizon}
+	for {
+		end, _ := sl.next()
+		for hop := range d.srcs {
+			var set *drawSet
+			select {
+			case set = <-d.free:
+			case <-d.done:
+				return
+			}
+			d.fill(set, hop, end)
+			select {
+			case d.ready <- set:
+			case <-d.done:
+				return
+			}
+		}
+	}
+}
+
+// fill draws hop's cross traffic through end into set. A source's
+// emission instants are the ones its engine fires: next += inter here is
+// the float operation of now + inter in crossSource.emit.
+func (d *drawer) fill(set *drawSet, hop int, end float64) {
+	set.inter, set.class, set.off = set.inter[:0], set.class[:0], set.off[:0]
+	srcs := d.srcs[hop]
+	for i := range srcs {
+		s := &srcs[i]
+		set.off = append(set.off, len(set.inter))
+		for s.next <= end {
+			// An emission draws its class, then the interarrival to the
+			// next one.
+			u := s.rng.Float64()
+			class := len(d.mix) - 1
+			for c, cum := range d.mix {
+				if u < cum {
+					class = c
+					break
+				}
+			}
+			inter := s.inter.Next(s.rng)
+			set.inter = append(set.inter, inter)
+			set.class = append(set.class, uint8(class))
+			s.next += inter
+		}
+	}
+	set.off = append(set.off, len(set.inter))
+}
+
+// crossSource emits one of a hop's cross sources: fixed-size packets whose
+// classes and interarrivals it reads from its window of the slab's draws.
+// Packets come from the run's free list and scheduling uses the
+// closure-free AtFunc path, so steady-state emission allocates nothing.
 type crossSource struct {
-	engine *sim.Engine
-	inter  traffic.Pareto
-	size   int64
-	mix    []float64 // cumulative class probabilities
-	rng    *rand.Rand
-	sink   traffic.Sink
-	pool   *core.PacketPool
-	id     uint64
-	seq    uint64
+	hop *hop
+	// inter and class are the window: the draws of the emissions left in
+	// the slab.
+	inter []float64
+	class []uint8
+	id    uint64
+	seq   uint64
 }
 
 // crossEmit is the shared closure-free event body for cross-traffic.
 func crossEmit(arg any) { arg.(*crossSource).emit() }
 
-func (s *crossSource) start() {
-	s.engine.AfterFunc(s.inter.Next(s.rng), crossEmit, s)
-}
-
 func (s *crossSource) emit() {
-	now := s.engine.Now()
-	s.seq++
-	u := s.rng.Float64()
-	class := len(s.mix) - 1
-	for i, c := range s.mix {
-		if u < c {
-			class = i
-			break
-		}
+	h := s.hop
+	if len(s.inter) == 0 {
+		h.overrun = true
+		return
 	}
-	p := s.pool.Get()
+	now := h.engine.Now()
+	s.seq++
+	p := h.path.pool.Get()
 	p.ID = s.id + s.seq
-	p.Class = class
-	p.Size = s.size
+	p.Class = int(s.class[0])
+	p.Size = h.path.cfg.PacketBytes
 	p.Arrival = now
 	p.Birth = now
-	s.sink(p)
-	s.start()
+	h.arriveLocal(p)
+	h.engine.AtFunc(now+s.inter[0], crossEmit, s)
+	s.inter, s.class = s.inter[1:], s.class[1:]
+}
+
+// load points each of h's cross sources at its window of set.
+func (h *hop) load(set *drawSet) {
+	for i := range h.cross {
+		lo, hi := set.off[i], set.off[i+1]
+		h.cross[i].inter, h.cross[i].class = set.inter[lo:hi], set.class[lo:hi]
+	}
+}
+
+// drained returns an error unless h's cross sources used their windows
+// for the slab ending at end exactly: every draw, and no emission without
+// one.
+func (h *hop) drained(end float64) error {
+	if h.overrun {
+		return fmt.Errorf("network: hop %d: a cross source emitted past its draws for the slab ending at %v", h.index, end)
+	}
+	for i := range h.cross {
+		if n := len(h.cross[i].inter); n > 0 {
+			return fmt.Errorf("network: hop %d: cross source %d left %d draws of the slab ending at %v", h.index, i, n, end)
+		}
+	}
+	return nil
 }
 
 // cumulativeMix adapts the 4-class paper mix to n classes: for n == 4 it

@@ -29,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Rho = 0 },
 		func(c *Config) { c.Rho = 1 },
 		func(c *Config) { c.SDP = []float64{1} },
+		func(c *Config) { c.SDP = make([]float64, 257) },
 		func(c *Config) { c.FlowPackets = 0 },
 		func(c *Config) { c.FlowKbps = 0 },
 		func(c *Config) { c.Experiments = 0 },

@@ -12,7 +12,7 @@ func TestPerHopMatchesSingleEngineFull(t *testing.T) {
 	for cell := 0; cell < 16; cell++ {
 		for _, kind := range diffKinds {
 			for seed := uint64(1); seed <= 3; seed++ {
-				ties += matchSingleEngine(t, diffConfig(cell, kind, seed, 3, 5))
+				ties += matchSingleEngine(t, diffConfig(cell, kind, seed, 3, 5)).ties
 			}
 		}
 	}

@@ -3,8 +3,10 @@ package network
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pdds/internal/core"
 )
@@ -32,8 +34,9 @@ func diffConfig(cell int, kind core.Kind, seed uint64, warmup float64, experimen
 
 // matchSingleEngine runs cfg on the per-hop runtime and on the single-engine
 // reference, fails t unless every reported figure is bit-identical, and
-// returns the number of same-instant ties the per-hop run ordered.
-func matchSingleEngine(t *testing.T, cfg Config) int {
+// returns the per-hop run's path (its ties count the same-instant ties it
+// ordered).
+func matchSingleEngine(t *testing.T, cfg Config) *path {
 	t.Helper()
 	want, err := runSingleEngine(cfg)
 	if err != nil {
@@ -50,7 +53,18 @@ func matchSingleEngine(t *testing.T, cfg Config) int {
 	if d := diffResults(got, want); d != "" {
 		t.Errorf("K=%d rho=%g F=%d Ru=%g %s seed %d: %s", cfg.Hops, cfg.Rho, cfg.FlowPackets, cfg.FlowKbps, cfg.Scheduler, cfg.Seed, d)
 	}
-	return pa.ties
+	return pa
+}
+
+// extended reports whether pa's run went past its first horizon, that is,
+// through Run's extend loop.
+func extended(pa *path) bool {
+	for _, h := range pa.hops {
+		if h.engine.Now() > pa.draw.horizon {
+			return true
+		}
+	}
+	return false
 }
 
 // diffResults names the first figure on which got and want differ in any
@@ -104,14 +118,27 @@ func diffResults(got, want *Result) string {
 // seed rotating with it. The full sweep is TestPerHopMatchesSingleEngineFull
 // (make differential). It also requires at least one replayed departure to
 // have tied with an event of its receiving hop, so the tie rule is
-// exercised, not only stated.
+// exercised, not only stated. One more configuration is slow enough that
+// its last user packets leave after the first horizon, so its run goes
+// through the extend loop and the slabs past that horizon are compared too.
 func TestPerHopMatchesSingleEngine(t *testing.T) {
 	var ties int
 	for ki, kind := range diffKinds {
 		for k := 0; k < 4; k++ {
 			cell := 4*k + (ki+k)%4
-			ties += matchSingleEngine(t, diffConfig(cell, kind, uint64(1+(ki+k)%3), 0.5, 2))
+			ties += matchSingleEngine(t, diffConfig(cell, kind, uint64(1+(ki+k)%3), 0.5, 2)).ties
 		}
+	}
+	// 16 hops of a 10 kbit/s link take 16 × 0.4 s to cross, more than the
+	// 5 s (and one 40 ms packet gap) the first horizon leaves the last flow.
+	slow := Config{
+		Hops: 16, Rho: 0.95, SDP: []float64{1, 2}, LinkBps: 10000,
+		FlowPackets: 1, FlowKbps: 100, Experiments: 2, Seed: 1,
+	}
+	if pa := matchSingleEngine(t, slow); !extended(pa) {
+		t.Error("the slow path was delivered by its first horizon: the extend loop went unexercised")
+	} else {
+		ties += pa.ties
 	}
 	if ties == 0 {
 		t.Error("no replayed departure tied with an event of its hop: the tie rule went unexercised")
@@ -122,7 +149,7 @@ func TestPerHopMatchesSingleEngine(t *testing.T) {
 // TestPerHopMatchesSingleEngineBenchCell pins the benchmark's Study B cell
 // shape (K 8, ρ 0.95, F 100, R_u 200) at its default seed, shortened.
 func TestPerHopMatchesSingleEngineBenchCell(t *testing.T) {
-	if ties := matchSingleEngine(t, diffConfig(15, core.KindWTP, 1999, 1, 2)); ties == 0 {
+	if pa := matchSingleEngine(t, diffConfig(15, core.KindWTP, 1999, 1, 2)); pa.ties == 0 {
 		t.Error("no tie ordered on an 8-hop path at rho 0.95")
 	}
 }
@@ -136,6 +163,7 @@ func TestReplayRefusesTieWithLocalArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pa.hops[1]
+	loadSlab(pa, h)
 	if !h.engine.Step() || h.lastLocal != h.engine.Now() {
 		t.Fatal("the hop's first event was not a cross emission")
 	}
@@ -155,6 +183,7 @@ func TestReplayRefusesTieOutsideLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := pa.hops[1]
+	loadSlab(pa, h)
 	for h.engine.Step() && h.lastFinish != h.engine.Now() {
 	}
 	if h.lastFinish == 0 {
@@ -164,4 +193,100 @@ func TestReplayRefusesTieOutsideLockstep(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown order") {
 		t.Fatalf("replay at a transmission end: err %v, want the tie guard", err)
 	}
+}
+
+// TestRunEndsDrawer checks that the drawing goroutine has ended whenever
+// run returns: after a delivered run, after a replay the tie guard refuses,
+// and after a path whose deliveries fall short.
+func TestRunEndsDrawer(t *testing.T) {
+	cases := []struct {
+		name    string
+		prepare func(*path)
+		wantErr string
+	}{
+		{"delivered", func(*path) {}, ""},
+		{"refused", func(pa *path) {
+			// Hop 0 logs each user departure twice, the copy in a chain of
+			// its own, so hop 1 meets the copy at the instant it replayed
+			// the original: an order the guard refuses.
+			h := pa.hops[0]
+			h.link.OnDepart = func(p *core.Packet) {
+				h.depart(p)
+				if p.Flow != 0 {
+					d := (*h.out)[len(*h.out)-1]
+					d.chain = math.MaxUint64
+					*h.out = append(*h.out, d)
+				}
+			}
+		}, "unknown order"},
+		{"saturated", func(pa *path) { pa.expected++ }, "path saturated"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := quickConfig()
+			cfg.LinkBps = 1e6 // few cross packets: the saturated case runs every extension
+			pa, err := newPath(cfg.withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.prepare(pa)
+			_, err = pa.run()
+			if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
+				t.Fatalf("run: err %v, want %q", err, tc.wantErr)
+			}
+			// stop has waited for the goroutine's last deferred call; let
+			// it finish returning.
+			for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%d goroutines after run, %d before", n, before)
+			}
+		})
+	}
+}
+
+// TestDrainedRefusesInexactWindows shortens and lengthens a source's
+// window of a slab's draws: the source meets an emission without a draw,
+// or leaves one unused, and either is an error.
+func TestDrainedRefusesInexactWindows(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*drawSet)
+		want string
+	}{
+		{"exact", func(*drawSet) {}, ""},
+		{"short", func(s *drawSet) { s.off[1]-- }, "emitted past its draws"},
+		{"long", func(s *drawSet) {
+			s.inter, s.class = append(s.inter, 1), append(s.class, 0)
+			s.off[len(s.off)-1]++
+		}, "left 1 draws"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pa, err := newPath(quickConfig().withDefaults())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := pa.hops[1]
+			set := new(drawSet)
+			pa.draw.fill(set, h.index, slabSec)
+			tc.edit(set)
+			h.load(set)
+			h.engine.RunUntil(slabSec)
+			err = h.drained(slabSec)
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("drained: err %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// loadSlab draws h's cross traffic for the first slab on the caller's
+// goroutine and hands it to h's sources, as runSlab does with the drawer's.
+func loadSlab(pa *path, h *hop) {
+	set := new(drawSet)
+	pa.draw.fill(set, h.index, slabSec)
+	h.load(set)
 }

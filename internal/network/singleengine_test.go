@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"pdds/internal/core"
 	"pdds/internal/link"
@@ -87,13 +88,14 @@ func runSingleEngine(cfg Config) (*Result, error) {
 	// drawn per packet from ClassMix.
 	perSourceBytes := crossBytesPerSec / float64(cfg.CrossSources)
 	meanInter := float64(cfg.PacketBytes) / perSourceBytes
+	mix := cumulativeMix(n)
 	for h := 0; h < cfg.Hops; h++ {
 		for s := 0; s < cfg.CrossSources; s++ {
-			src := &crossSource{
+			src := &inlineSource{
 				engine: engine,
 				inter:  traffic.NewPareto(cfg.Alpha, meanInter),
 				size:   cfg.PacketBytes,
-				mix:    cumulativeMix(n),
+				mix:    mix,
 				rng:    traffic.NewRNG(cfg.Seed, uint64(h*1000+s+1)),
 				sink:   links[h].Arrive,
 				pool:   pool,
@@ -164,4 +166,46 @@ func runSingleEngine(cfg Config) (*Result, error) {
 
 	res.computeMetrics(n)
 	return res, nil
+}
+
+// inlineSource is a cross source that draws as it emits: each emission
+// draws its packet's class, hands the packet to sink, then draws the
+// interarrival to the next emission.
+type inlineSource struct {
+	engine *sim.Engine
+	inter  traffic.Pareto
+	size   int64
+	mix    []float64 // cumulative class probabilities
+	rng    *rand.Rand
+	sink   traffic.Sink
+	pool   *core.PacketPool
+	id     uint64
+	seq    uint64
+}
+
+func inlineEmit(arg any) { arg.(*inlineSource).emit() }
+
+func (s *inlineSource) start() {
+	s.engine.AfterFunc(s.inter.Next(s.rng), inlineEmit, s)
+}
+
+func (s *inlineSource) emit() {
+	now := s.engine.Now()
+	s.seq++
+	u := s.rng.Float64()
+	class := len(s.mix) - 1
+	for i, c := range s.mix {
+		if u < c {
+			class = i
+			break
+		}
+	}
+	p := s.pool.Get()
+	p.ID = s.id + s.seq
+	p.Class = class
+	p.Size = s.size
+	p.Arrival = now
+	p.Birth = now
+	s.sink(p)
+	s.start()
 }

@@ -247,9 +247,10 @@ type PathConfig struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
 	// Telemetry, if set, observes every hop live, aggregated across the
-	// path (see NewTelemetry). The hops are simulated one after another,
-	// so a live reader sees them finish in path order, and a delay sum
-	// may differ in its last bits from one taken in event order.
+	// path (see NewTelemetry). The hops take turns, one simulated second
+	// at a time in path order, so a live reader sees hop 0 reach the end
+	// of each second before hop 1 enters it, and a delay sum may differ in
+	// its last bits from one taken in event order.
 	Telemetry *Telemetry
 }
 
